@@ -2,16 +2,19 @@
 
 All three are white-box: gradients flow through the quantization layer
 analytically when a defense is present (no gradient-masking shortcut).
+JSMA is the JSMA-F variant: because softmax outputs sum to 1, its beta map
+is -alpha, so it runs on the target probability's gradient alone.
 Black-box transfer wraps white-box generation against a substitute model.
 Attacks are deterministic given (model, input, spec).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .model import Model
 from .serial import AdversarialBatch
 
@@ -119,10 +122,14 @@ def fgsm(model: Model, x: np.ndarray, true_label: int, spec: AttackSpec) -> Adve
 
 def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
          true_label: int | None = None) -> AdversarialExample:
-    """Saliency-map attack: flood the most target-salient pixel pair by theta.
+    """Saliency-map attack (JSMA-F): flood the most target-salient pixel pair by theta.
 
-    Stops at success, the iteration cap, or once gamma * pixel-count pixels
-    have been modified. Rejects non-targeted specs.
+    JSMA-F scores a pair by alpha = d P_t/d x and beta = sum_{c != t} d P_c/d x.
+    Softmax outputs sum to 1, so beta = -alpha and the pair score
+    (a_p + a_q) * -(b_p + b_q) is (a_p + a_q)^2: each iteration needs only
+    the target probability's gradient, and the pick is the top-2 alpha
+    (see _top_pair). Stops at success, the iteration cap, or once
+    gamma * pixel-count pixels have been modified. Rejects non-targeted specs.
     """
     if not spec.targeted:
         raise ValueError("jsma requires a targeted AttackSpec")
@@ -137,17 +144,17 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     x_adv = x.copy()
     flat = x_adv.reshape(-1)
     modified = np.zeros(n_pixels, dtype=bool)
+    d_probs = np.eye(model.num_classes)[[target_class]]  # d P_t/d probs
     iterations = 0
     for _ in range(spec.iterations):
-        if int(model.predict(x_adv).argmax()) == target_class:
-            break
         if modified.sum() >= budget:
             break
-        jac = model.probability_jacobian(x_adv).reshape(model.num_classes, n_pixels)
-        alpha = jac[target_class]
-        beta = jac.sum(axis=0) - alpha
-        domain = flat < 1.0  # increasing features only; saturated pixels leave
-        pick = _saliency_pair(alpha, beta, domain)
+        probs, cache = model.forward_batch(x_adv[None], keep_cache=True)
+        if int(probs[0].argmax()) == target_class:
+            break
+        _, alpha = model.backward_batch(cache, nn.softmax_backward_batch(probs, d_probs),
+                                        need_param_grads=False, need_input_grad=True)
+        pick = _top_pair(alpha.reshape(-1), flat < 1.0)  # saturated pixels leave
         if pick is None:
             break
         new = [p for p in pick if not modified[p]]
@@ -161,30 +168,25 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
                    target_class=target_class)
 
 
-def _saliency_pair(alpha: np.ndarray, beta: np.ndarray, domain: np.ndarray):
-    """Most salient eligible pixel pair: max (a_p+a_q)|b_p+b_q| with a>0, b<0.
+def _top_pair(alpha: np.ndarray, eligible: np.ndarray):
+    """JSMA-F's pick for beta = -alpha, in O(P).
 
-    Falls back to the best single pixel when no positive-saliency pair
-    exists; returns None when nothing is eligible.
+    The pair score (a_p + a_q)^2 over pairs with a_p + a_q > 0 peaks at the
+    two largest eligible alpha (ties toward the lower index); that pair is
+    returned in ascending index order. When its sum is not positive, the
+    single largest pixel is returned if its alpha is positive, else None.
     """
-    idx = np.flatnonzero(domain)
+    idx = np.flatnonzero(eligible)
     if idx.size == 0:
         return None
-    a = alpha[idx]
-    b = beta[idx]
-    if idx.size >= 2:
-        pair_a = a[:, None] + a[None, :]
-        pair_b = b[:, None] + b[None, :]
-        valid = (pair_a > 0.0) & (pair_b < 0.0)
-        np.fill_diagonal(valid, False)
-        if valid.any():
-            scores = np.where(valid, pair_a * -pair_b, -np.inf)
-            p, q = np.unravel_index(int(scores.argmax()), scores.shape)
-            return int(idx[p]), int(idx[q])
-    single = (a > 0.0) & (b < 0.0)
-    if single.any():
-        scores = np.where(single, a * -b, -np.inf)
-        return (int(idx[int(scores.argmax())]),)
+    a = alpha[idx]  # fancy indexing copies, so a is ours to overwrite
+    first = int(a.argmax())
+    top, a[first] = a[first], -np.inf
+    second = int(a.argmax())  # with one eligible pixel a[second] is -inf
+    if top + a[second] > 0.0:
+        return int(idx[min(first, second)]), int(idx[max(first, second)])
+    if top > 0.0:
+        return (int(idx[first]),)
     return None
 
 

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import click
 

@@ -87,7 +87,10 @@ def _read_idx_labels(path: Path) -> np.ndarray:
     if len(data) < 8 + count:
         raise TruncatedFileError(
             f"{path}: payload truncated ({len(data)} bytes, need {8 + count})")
-    return np.frombuffer(data, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    labels = np.frombuffer(data, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    if labels.max(initial=0) > 9:
+        raise DataError(f"{path}: label {labels.max()} out of range 0..9")
+    return labels
 
 
 def load_mnist(data_dir=None, split: str = "train") -> Dataset:

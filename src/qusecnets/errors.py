@@ -23,3 +23,7 @@ class CountMismatchError(DataError):
 
 class ShapeMismatchError(DataError):
     """A stored tensor's shape disagrees with the embedded config."""
+
+
+class BadConfigError(DataError):
+    """Config or spec text embedded in a file does not describe a valid value."""

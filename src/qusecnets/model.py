@@ -10,7 +10,7 @@ produce bit-identical models and training runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,21 +175,6 @@ class Model:
             return probs, cache
         return probs
 
-    def logits_batch(self, x: np.ndarray) -> np.ndarray:
-        """Pre-softmax outputs (needed by margin-based attacks)."""
-        x = np.asarray(x, dtype=np.float64)
-        a = quantize(x, self.quantizer) if self.quantizer is not None else x
-        for kind, name, _ in self.layer_plan:
-            if kind == "conv":
-                pre, _ = nn.conv_forward_batch(
-                    a, self.params[name + ".kernels"], self.params[name + ".bias"])
-                a = np.maximum(pre, 0.0)
-            elif kind == "flatten":
-                a = a.reshape(a.shape[0], -1)
-            else:
-                a = a @ self.params[name + ".W"].T + self.params[name + ".b"]
-        return a
-
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Probability vector for one (H,W,C) image."""
         image = np.asarray(image, dtype=np.float64)
@@ -271,13 +256,6 @@ class Model:
         """d (configured training loss)/d x, through the quantizer when present."""
         probs, cache = self.forward_batch(x, keep_cache=True)
         _, d_logits = self.loss_and_grad_batch(probs, labels)
-        _, d_raw = self.backward_batch(cache, d_logits,
-                                       need_param_grads=False, need_input_grad=True)
-        return d_raw
-
-    def input_gradient_from_logits(self, x: np.ndarray, d_logits: np.ndarray) -> np.ndarray:
-        """Backprop an arbitrary logit-space upstream to the raw input."""
-        probs, cache = self.forward_batch(x, keep_cache=True)
         _, d_raw = self.backward_batch(cache, d_logits,
                                        need_param_grads=False, need_input_grad=True)
         return d_raw

@@ -9,7 +9,7 @@ levels. Thresholds are either one shared (n-1,) vector or a per-pixel
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class Quantizer:
     @property
     def trainable(self) -> bool:
         return self.mode == TRAINABLE
-
-    @property
-    def per_pixel(self) -> bool:
-        return self.thresholds.ndim > 1
-
-    def copy(self) -> "Quantizer":
-        return Quantizer(self.levels, self.steepness, self.thresholds.copy(), self.mode)
 
 
 def sigmoid_unit(x, t, z):

@@ -12,12 +12,14 @@ with the embedded config.
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, ShapeMismatchError, TruncatedFileError
+from .errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
 from .model import Model, ModelConfig, build_model
 
 WEIGHTS_MAGIC = b"QSN1"
@@ -41,8 +43,12 @@ def write_container(path, magic: bytes, config_text: str, tensors: dict) -> None
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    with open(path, "wb") as f:
+    # write a sibling temp file and rename it over path, so a run killed
+    # mid-write never leaves a truncated container there
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
         f.write(b"".join(parts))
+    os.replace(tmp, path)
 
 
 class _Reader:
@@ -104,7 +110,10 @@ def save_weights(model: Model, path) -> None:
 def load_weights(path) -> Model:
     """Rebuild a model from a QSN1 file; bit-exact round trip."""
     config_text, tensors = read_container(path, WEIGHTS_MAGIC)
-    config = ModelConfig.from_canonical_text(config_text)
+    try:
+        config = ModelConfig.from_canonical_text(config_text)
+    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise BadConfigError(f"{path}: invalid model config: {e!r}") from e
     model = build_model(config)
     for name, param in model.params.items():
         if name not in tensors:
@@ -149,8 +158,6 @@ class AdversarialBatch:
 
 
 def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
-    import json
-
     tensors = {
         "originals": batch.originals,
         "perturbed": batch.perturbed,
@@ -161,9 +168,13 @@ def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
 
 
 def load_adversarial_batch(path) -> AdversarialBatch:
-    import json
-
     config_text, tensors = read_container(path, ADVERSARIAL_MAGIC)
+    try:
+        spec = json.loads(config_text)
+    except ValueError as e:
+        raise BadConfigError(f"{path}: attack spec is not valid JSON: {e}") from e
+    if not isinstance(spec, dict):
+        raise BadConfigError(f"{path}: attack spec is not a JSON object")
     for key in ("originals", "perturbed", "labels"):
         if key not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {key!r}")
@@ -171,5 +182,5 @@ def load_adversarial_batch(path) -> AdversarialBatch:
         originals=tensors["originals"],
         perturbed=tensors["perturbed"],
         labels=tensors["labels"].astype(np.int64),
-        spec=json.loads(config_text),
+        spec=spec,
     )

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .attacks import AttackSpec, generate_batch
+from .errors import DataError
 from .evaluate import EvalReport, evaluate
 from .model import Model, ModelConfig, build_model, train
 from .serial import load_weights, save_weights
@@ -27,8 +28,10 @@ class ModelCache:
     """Train-once store for sweep configurations.
 
     Hits come from memory first, then from weight files under cache_dir
-    (when given). Every lookup appends ("trained"|"cached", key) to events,
-    which is how tests verify that a second sweep does no retraining.
+    (when given). A weight file that fails to load (say, truncated by a
+    killed run) is a miss: the model is retrained and the file replaced.
+    Every lookup appends ("trained"|"cached", key) to events, which is how
+    tests verify that a second sweep does no retraining.
     """
 
     def __init__(self, cache_dir=None):
@@ -48,10 +51,14 @@ class ModelCache:
         if self.cache_dir is not None:
             path = self.cache_dir / f"{key}.qsn"
             if path.exists():
-                model = load_weights(path)
-                self._memory[key] = model
-                self.events.append(("cached", key))
-                return model
+                try:
+                    model = load_weights(path)
+                except DataError:
+                    pass
+                else:
+                    self._memory[key] = model
+                    self.events.append(("cached", key))
+                    return model
         model = build_model(config)
         train(model, train_set, epochs=epochs, batch_size=batch_size,
               lr=lr, seed=train_seed)

@@ -1,7 +1,8 @@
-"""Shared test utilities: error metrics and synthetic datasets."""
+"""Shared test utilities: error metrics, synthetic datasets and reference attacks."""
 
 import numpy as np
 
+from qusecnets.attacks import _finish
 from qusecnets.data import Dataset
 from qusecnets.model import ModelConfig, build_model, train
 
@@ -48,3 +49,67 @@ def trained_tiny_model(config=TINY_CONFIG, epochs=30, seed=0):
     model = build_model(config)
     train(model, ds, epochs=epochs, batch_size=32, lr=0.05, seed=seed)
     return model, ds
+
+
+def saliency_pair(alpha, beta, domain):
+    """JSMA-F pair pick over the full P x P matrix: max (a_p+a_q)|b_p+b_q| with a>0, b<0.
+
+    Falls back to the best single pixel when no positive-saliency pair
+    exists; returns None when nothing is eligible. Reference for _top_pair.
+    """
+    idx = np.flatnonzero(domain)
+    if idx.size == 0:
+        return None
+    a = alpha[idx]
+    b = beta[idx]
+    if idx.size >= 2:
+        pair_a = a[:, None] + a[None, :]
+        pair_b = b[:, None] + b[None, :]
+        valid = (pair_a > 0.0) & (pair_b < 0.0)
+        np.fill_diagonal(valid, False)
+        if valid.any():
+            scores = np.where(valid, pair_a * -pair_b, -np.inf)
+            p, q = np.unravel_index(int(scores.argmax()), scores.shape)
+            return int(idx[p]), int(idx[q])
+    single = (a > 0.0) & (b < 0.0)
+    if single.any():
+        scores = np.where(single, a * -b, -np.inf)
+        return (int(idx[int(scores.argmax())]),)
+    return None
+
+
+def reference_jsma(model, x, target_class, spec, true_label=None):
+    """JSMA-F as published: alpha and beta from the full 10-class Jacobian.
+
+    Reference for attacks.jsma; same stopping rules and bookkeeping.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_pixels = x.size
+    pred_before = int(model.predict(x).argmax())
+    if true_label is None:
+        true_label = pred_before
+    budget = int(np.floor(spec.gamma * n_pixels))
+    x_adv = x.copy()
+    flat = x_adv.reshape(-1)
+    modified = np.zeros(n_pixels, dtype=bool)
+    iterations = 0
+    for _ in range(spec.iterations):
+        if int(model.predict(x_adv).argmax()) == target_class:
+            break
+        if modified.sum() >= budget:
+            break
+        jac = model.probability_jacobian(x_adv).reshape(model.num_classes, n_pixels)
+        alpha = jac[target_class]
+        beta = jac.sum(axis=0) - alpha
+        pick = saliency_pair(alpha, beta, flat < 1.0)
+        if pick is None:
+            break
+        new = [p for p in pick if not modified[p]]
+        if modified.sum() + len(new) > budget:
+            break
+        iterations += 1
+        for p in pick:
+            flat[p] = min(1.0, flat[p] + spec.theta)
+            modified[p] = True
+    return _finish(model, x, x_adv, true_label, pred_before, iterations,
+                   target_class=target_class)

@@ -2,11 +2,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import TINY_CONFIG, blob_dataset, trained_tiny_model
+from helpers import (
+    TINY_CONFIG,
+    blob_dataset,
+    reference_jsma,
+    saliency_pair,
+    trained_tiny_model,
+)
 from qusecnets.attacks import (
     AdversarialExample,
     AttackSpec,
     _cw_optimize,
+    _top_pair,
     cw_l2,
     fgsm,
     fgsm_batch,
@@ -160,6 +167,61 @@ def test_jsma_rejects_target_equal_true_label(victim):
     with pytest.raises(ValueError, match="differ"):
         jsma(model, ds.images[0], int(ds.labels[0]),
              AttackSpec(kind="jsma", targeted=True), true_label=int(ds.labels[0]))
+
+
+def test_probability_gradients_sum_to_rounding_level(victim):
+    """sum_c dP_c/dx = 0 because softmax sums to 1, so JSMA-F's beta is -alpha."""
+    model, ds = victim
+    cq = build_model(clone_config(TINY_CONFIG, defense="cq", steepness=10.0))
+    for m in (model, cq):
+        for x in ds.images[:3]:
+            jac = m.probability_jacobian(x)
+            assert np.abs(jac).max() > 1e-6
+            assert np.abs(jac.sum(axis=0)).max() <= 1e-12 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("alpha, eligible, expected", [
+    ([1.0, 3.0, 2.0, 3.0, 2.0], None, (1, 3)),          # tie for first
+    ([3.0, 2.0, 1.0, 2.0], None, (0, 1)),               # tie for second
+    ([1.0, 1.0, 1.0], None, (0, 1)),
+    ([-1.0, 0.5, -2.0], None, (1,)),                    # top-2 sum < 0
+    ([0.5, -0.5], None, (0,)),                          # top-2 sum == 0
+    ([-1.0, -2.0, 0.0], None, None),                    # nothing positive
+    ([0.0, 0.0], None, None),
+    ([5.0, 1.0, 2.0], [False, True, True], (1, 2)),     # saturated pixel left out
+    ([5.0, 1.0, 2.0], [False, True, False], (1,)),      # one eligible pixel
+    ([5.0, -1.0, 2.0], [False, True, False], None),
+    ([5.0, 1.0], [False, False], None),
+])
+def test_top_pair_rule(alpha, eligible, expected):
+    alpha = np.asarray(alpha)
+    eligible = np.ones(alpha.size, bool) if eligible is None else np.asarray(eligible)
+    assert _top_pair(alpha, eligible) == expected
+    assert saliency_pair(alpha, -alpha, eligible) == expected
+
+
+def test_top_pair_matches_pair_matrix_with_ties():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        alpha = rng.integers(-3, 4, n).astype(np.float64)
+        eligible = rng.random(n) < 0.8
+        assert _top_pair(alpha, eligible) == saliency_pair(alpha, -alpha, eligible)
+
+
+@pytest.mark.parametrize("defense", ["none", "cq", "tq"])
+def test_jsma_matches_full_jacobian_reference(defense):
+    config = clone_config(TINY_CONFIG, defense=defense, levels=3, steepness=10.0)
+    model, ds = trained_tiny_model(config, epochs=10)
+    for gamma in (0.05, 0.2, 0.5):
+        spec = AttackSpec(kind="jsma", targeted=True, theta=1.0, gamma=gamma,
+                          iterations=100)
+        for i in range(40):
+            true = int(ds.labels[i])
+            args = (model, ds.images[i], (true + 1) % 10, spec)
+            ex, ref = jsma(*args, true_label=true), reference_jsma(*args, true_label=true)
+            assert ex.perturbed.tobytes() == ref.perturbed.tobytes()
+            assert (ex.iterations_used, ex.success) == (ref.iterations_used, ref.success)
 
 
 # ---------------------------------------------------------------------------

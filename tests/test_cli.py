@@ -111,6 +111,20 @@ def test_evaluate_wrong_magic_exits_2(env, capsys):
     assert log[-1]["status"] == 2
 
 
+def test_malformed_weight_config_exits_2_and_logs(env, capsys):
+    from qusecnets.serial import write_container
+
+    bad = env / "bad.qsn"
+    write_container(bad, b"QSN1", "{not json", {})
+    rc = cli(["evaluate", "--model", str(bad), "--report", str(env / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "Traceback" not in err
+    log = [json.loads(l) for l in
+           (env / "runs.jsonl").read_text().splitlines()]
+    assert log[-1]["status"] == 2
+
+
 def test_missing_model_file_exits_2(env):
     rc = cli(["attack", "--model", str(env / "nope.qsn"), "--method", "fgsm",
               "--out", str(env / "x.qsa")])

@@ -82,6 +82,13 @@ def test_mnist_truncated_payload(mnist_fixture_dir):
         load_mnist(d, split="train")
 
 
+def test_mnist_label_out_of_range(mnist_fixture_dir):
+    d, _, _ = mnist_fixture_dir
+    write_idx_labels(d / "t10k-labels-idx1-ubyte", [7, 10])
+    with pytest.raises(DataError, match="out of range"):
+        load_mnist(d, split="test")
+
+
 def test_env_fallback(mnist_fixture_dir, monkeypatch, tmp_path_factory):
     d, _, _ = mnist_fixture_dir
     root = d.parent

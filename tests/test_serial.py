@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import TINY_CONFIG
-from qusecnets.errors import BadMagicError, ShapeMismatchError, TruncatedFileError
+from qusecnets.errors import BadMagicError, DataError, ShapeMismatchError, TruncatedFileError
 from qusecnets.model import build_model, clone_config
 from qusecnets.serial import (
     AdversarialBatch,
@@ -110,3 +112,37 @@ def test_batch_shape_validation():
     with pytest.raises(ShapeMismatchError):
         AdversarialBatch(np.zeros((2, 3)), np.zeros((2, 3)),
                          np.zeros(3), {})
+
+
+def _config_dict():
+    return json.loads(TINY_CONFIG.canonical_text())
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({k: v for k, v in _config_dict().items() if k != "seed"}),
+    json.dumps({**_config_dict(), "defense": "bogus"}),
+    json.dumps({**_config_dict(), "architecture": 5}),
+    "[1, 2]",
+], ids=["invalid-json", "missing-key", "bad-enum", "bad-type", "not-object"])
+def test_malformed_weight_config_is_data_error(tmp_path, text):
+    path = tmp_path / "m.qsn"
+    write_container(path, b"QSN1", text, dict(build_model(TINY_CONFIG).params))
+    with pytest.raises(DataError, match="config"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "\"fgsm\"", "{not json"])
+def test_adversarial_spec_must_be_json_object(tmp_path, text):
+    tensors = {"originals": np.zeros((1, 2)), "perturbed": np.zeros((1, 2)),
+               "labels": np.zeros(1)}
+    path = tmp_path / "adv.qsa"
+    write_container(path, b"QSA1", text, tensors)
+    with pytest.raises(DataError, match="spec"):
+        load_adversarial_batch(path)
+
+
+def test_writes_leave_no_temporary_files(tmp_path, tq_model):
+    save_weights(tq_model, tmp_path / "m.qsn")
+    save_weights(tq_model, tmp_path / "m.qsn")  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == ["m.qsn"]

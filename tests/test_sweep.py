@@ -1,5 +1,6 @@
 import csv
 
+import numpy.testing as npt
 import pytest
 
 from helpers import TINY_CONFIG, blob_dataset
@@ -62,6 +63,25 @@ def test_cache_key_distinguishes_configs(sets, tmp_path):
     other = clone_config(BASE, seed=BASE.seed + 1)
     sweep(other, [2], [0.1], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
     assert [e[0] for e in cache.events] == ["trained", "trained"]
+
+
+def test_corrupt_cache_entry_is_retrained(sets, tmp_path):
+    train_set, _ = sets
+    first = ModelCache(tmp_path / "cache")
+    model = first.get_or_train(BASE, train_set, **TRAIN_KW)
+    (path,) = (tmp_path / "cache").iterdir()
+    good = path.read_bytes()
+    path.write_bytes(good[:len(good) // 2])  # as a killed writer would leave it
+
+    cache = ModelCache(tmp_path / "cache")
+    again = cache.get_or_train(BASE, train_set, **TRAIN_KW)
+    assert [e[0] for e in cache.events] == ["trained"]
+    assert path.read_bytes() == good
+    for name, param in model.params.items():
+        npt.assert_array_equal(again.params[name], param)
+    reread = ModelCache(tmp_path / "cache")
+    reread.get_or_train(BASE, train_set, **TRAIN_KW)
+    assert [e[0] for e in reread.events] == ["cached"]
 
 
 def test_sweep_rejects_empty_lists(sets):

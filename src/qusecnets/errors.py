@@ -26,4 +26,4 @@ class ShapeMismatchError(DataError):
 
 
 class BadConfigError(DataError):
-    """Config or spec text embedded in a file does not describe a valid value."""
+    """Text embedded in a file (config, spec, tensor name) is not valid UTF-8 or not a valid value."""

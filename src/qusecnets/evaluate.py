@@ -61,7 +61,8 @@ def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):
     return l2_mean, linf_max, l0_mean
 
 
-def _predict_all(model: Model, images: np.ndarray, chunk: int = 64) -> np.ndarray:
+def predict_all(model: Model, images: np.ndarray, chunk: int = 64) -> np.ndarray:
+    """Probabilities for every image, forwarded `chunk` images at a time."""
     probs = np.empty((len(images), model.num_classes))
     for start in range(0, len(images), chunk):
         probs[start:start + chunk] = model.forward_batch(images[start:start + chunk])
@@ -79,19 +80,26 @@ def _mean_or_none(values: np.ndarray):
     return float(values.mean()) if values.size else None
 
 
-def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None) -> EvalReport:
+def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
+             clean_probs: np.ndarray | None = None) -> EvalReport:
     """Clean accuracy over the dataset, plus adversarial stats when a batch is given.
 
     Confidence and per-class figures describe the adversarial pass when one
-    is present, else the clean pass.
+    is present, else the clean pass. clean_probs, when given, must be
+    predict_all(model, dataset.images); it spares the clean forward pass
+    when one model is evaluated against several adversarial batches.
     """
-    probs_clean = _predict_all(model, dataset.images)
-    _, correct_clean, conf_clean = _accuracy_bits(probs_clean, dataset.labels)
+    if clean_probs is None:
+        clean_probs = predict_all(model, dataset.images)
+    elif clean_probs.shape != (len(dataset), model.num_classes):
+        raise ShapeMismatchError(
+            f"clean_probs shape {clean_probs.shape} != {(len(dataset), model.num_classes)}")
+    _, correct_clean, conf_clean = _accuracy_bits(clean_probs, dataset.labels)
     clean_accuracy = float(correct_clean.mean())
 
     adv_accuracy = l2_mean = linf_max = l0_mean = None
     if adversarial is not None:
-        probs_adv = _predict_all(model, adversarial.perturbed)
+        probs_adv = predict_all(model, adversarial.perturbed)
         _, correct, conf = _accuracy_bits(probs_adv, adversarial.labels)
         adv_accuracy = float(correct.mean())
         l2_mean, linf_max, l0_mean = perturbation_stats(
@@ -119,7 +127,6 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None)
         "dataset": {"name": dataset.name, "split": dataset.split, "size": len(dataset)},
         "attack": dict(adversarial.spec) if adversarial is not None else None,
     }
-    model.clear_buffers()
     return EvalReport(
         clean_accuracy=clean_accuracy,
         adv_accuracy=adv_accuracy,

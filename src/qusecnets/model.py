@@ -10,7 +10,8 @@ produce bit-identical models and training runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +62,21 @@ class ModelConfig:
             raise ValueError(f"defense must be one of {DEFENSES}, got {self.defense!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        # types hold whatever the defense: canonical_text echoes these
+        # fields, so a wrong type would give a distinct ModelCache key
+        if type(self.levels) is not int:
+            raise TypeError(f"levels must be an int, got {self.levels!r}")
+        if isinstance(self.steepness, bool) or not isinstance(self.steepness, (int, float)):
+            raise TypeError(f"steepness must be a real number, got {self.steepness!r}")
+        object.__setattr__(self, "steepness", float(self.steepness))
+        if type(self.per_pixel_thresholds) is not bool:
+            raise TypeError(
+                f"per_pixel_thresholds must be a bool, got {self.per_pixel_thresholds!r}")
         if self.defense != "none":
             if self.levels < 2:
                 raise ValueError("defended config needs levels >= 2")
-            if self.steepness <= 0:
-                raise ValueError("defended config needs steepness > 0")
+            if not 0 < self.steepness < math.inf:
+                raise ValueError("defended config needs a finite steepness > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         self._validate_architecture()
@@ -130,7 +141,7 @@ class Model:
         self._pool = nn.BufferPool()
 
     def clear_buffers(self):
-        """Drop conv scratch buffers (hundreds of MB once warmed)."""
+        """Drop conv scratch buffers (~0.5 GB for the default stack at batch 64)."""
         self._pool.clear()
 
     @property
@@ -154,9 +165,9 @@ class Model:
         for kind, name, _ in self.layer_plan:
             if kind == "conv":
                 kern, bias = self.params[name + ".kernels"], self.params[name + ".bias"]
-                pre, cols = nn.conv_forward_batch(a, kern, bias, pool=self._pool, key=name)
+                pre, rows = nn.conv_forward_batch(a, kern, bias, pool=self._pool, key=name)
                 if keep_cache:
-                    layer_caches.append({"cols": cols, "in_shape": a.shape, "mask": pre > 0.0})
+                    layer_caches.append({"rows": rows, "in_shape": a.shape, "mask": pre > 0.0})
                 a = np.maximum(pre, 0.0, out=pre)
             elif kind == "flatten":
                 if keep_cache:
@@ -215,9 +226,9 @@ class Model:
                 # so the caller's d_logits was already consumed by a matmul)
                 d = np.multiply(d, lcache["mask"], out=d)
                 d_k, d_b, d_in = nn.conv_backward_batch(
-                    lcache["cols"], self.params[name + ".kernels"], d,
+                    lcache["rows"], self.params[name + ".kernels"], d,
                     lcache["in_shape"], need_input=(i > 0 or want_bottom_delta),
-                    pool=self._pool, key=name)
+                    pool=self._pool, key=name, need_params=need_param_grads)
                 if need_param_grads:
                     grads[name + ".kernels"] = d_k
                     grads[name + ".bias"] = d_b
@@ -383,6 +394,3 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
     model.clear_buffers()
     return model, trace
 
-
-def clone_config(config: ModelConfig, **overrides) -> ModelConfig:
-    return replace(config, **overrides)

@@ -6,6 +6,10 @@ the cost w.r.t. its input and parameters, given the upstream gradient
 w.r.t. its output. Ops are pure functions; batched variants (leading N
 axis) back the single-sample spec surface and are what the training loop
 and attacks actually call.
+
+The batched conv copies its input k times (one width shift per kernel
+column) into a row-patch matrix and runs one GEMM per kernel row over a
+contiguous block of it, so no k*k patch (im2col) matrix is ever built.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ def _as_f64(x) -> Tensor:
 class BufferPool:
     """Reusable scratch arrays keyed by name; avoids re-faulting big buffers.
 
-    The im2col and col2im workspaces run to hundreds of MB per conv layer;
-    allocating them fresh every batch costs more than the matmuls. Buffers
-    are replaced when the requested shape changes, and hold garbage between
+    Each conv layer keeps its row-patch matrix, output and gradient
+    workspaces here, tens of MB per layer at batch 64; allocating them
+    fresh every batch costs page faults on every call. Buffers are
+    replaced when the requested shape changes, and hold garbage between
     uses, so callers must fully overwrite (or fill) what they take.
     """
 
@@ -64,51 +69,84 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
                        pool: BufferPool | None = None, key: str = "conv"):
     """Valid convolution of a (N,H,W,Cin) batch with (k,k,Cin,Cout) kernels.
 
-    Returns (output, cols) where cols is the (N*H'*W', k*k*Cin) im2col
-    matrix, reusable by conv_backward_batch. cols may live in the pool.
+    Returns (output, rows). rows is the (H*N*W', k*Cin) row-patch matrix:
+    row (r, n, j) holds x[n, r, j:j+k, :], so the patches of kernel row ki
+    are the contiguous rows [ki*N*W', ki*N*W' + H'*N*W') and the conv is a
+    sum of k GEMMs over those blocks. conv_backward_batch reuses rows.
+    With a pool, rows and output live in it (output as an (N,H',W',Cout)
+    view of H'-major memory): consume both before the next call that
+    reuses the same key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
     cout = kernels.shape[3]
     oh, ow = h - k + 1, w - k + 1
-    cols6 = _take(pool, key + ".cols", (n, oh, ow, k, k, cin))
-    for ki in range(k):
-        for kj in range(k):
-            cols6[:, :, :, ki, kj, :] = x[:, ki:ki + oh, kj:kj + ow, :]
-    cols = cols6.reshape(n * oh * ow, k * k * cin)
-    out = cols @ kernels.reshape(k * k * cin, cout)
+    stride, m = n * ow, oh * n * ow
+    rows5 = _take(pool, key + ".rows", (h, n, ow, k, cin))
+    x_hmajor = x.transpose(1, 0, 2, 3)
+    for kj in range(k):
+        rows5[:, :, :, kj, :] = x_hmajor[:, :, kj:kj + ow, :]
+    rows = rows5.reshape(h * stride, k * cin)
+    kern = kernels.reshape(k, k * cin, cout)
+    out = _take(pool, key + ".out", (m, cout))
+    np.matmul(rows[:m], kern[0], out=out)
+    part = _take(pool, key + ".part", (m, cout))
+    for ki in range(1, k):
+        np.matmul(rows[ki * stride:ki * stride + m], kern[ki], out=part)
+        out += part
     out += bias
-    return out.reshape(n, oh, ow, cout), cols
+    return out.reshape(oh, n, ow, cout).transpose(1, 0, 2, 3), rows
 
 
-def conv_backward_batch(cols: Tensor, kernels: Tensor, upstream: Tensor,
+def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
                         input_shape: tuple, need_input: bool = True,
-                        pool: BufferPool | None = None, key: str = "conv"):
-    """Gradients of a valid conv. upstream is (N,H',W',Cout).
+                        pool: BufferPool | None = None, key: str = "conv",
+                        need_params: bool = True):
+    """Gradients of a valid conv from the forward's row-patch matrix.
 
-    Returns (d_kernels, d_bias, d_input); d_input is None when not requested
-    (saves the col2im pass on the first layer of an undefended net). The
-    d_input array may live in the pool: consume it before the next call
-    that reuses the same key.
+    upstream is (N,H',W',Cout). Returns (d_kernels, d_bias, d_input);
+    d_input is None unless need_input (saves the scatter on the first
+    layer of an undefended net), d_kernels and d_bias are None unless
+    need_params (input-gradient passes of the attacks). d_input scatters
+    k row-block GEMMs into a row-gradient matrix laid out like rows, then
+    adds its k width shifts; with a pool it lives there (as an (N,H,W,Cin)
+    view of H-major memory): consume it before the next call that reuses
+    the same key.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
     cout = kernels.shape[3]
     oh, ow = h - k + 1, w - k + 1
-    up_flat = np.ascontiguousarray(upstream).reshape(n * oh * ow, cout)
-    d_kernels = (cols.T @ up_flat).reshape(kernels.shape)
-    d_bias = up_flat.sum(axis=0)
-    d_input = None
-    if need_input:
-        # scatter patch gradients back; stride 1 makes this a shifted sum
-        d_cols6 = _take(pool, key + ".dcols", (n, oh, ow, k, k, cin))
-        np.matmul(up_flat, kernels.reshape(k * k * cin, cout).T,
-                  out=d_cols6.reshape(n * oh * ow, k * k * cin))
-        d_input = _take(pool, key + ".dinput", tuple(input_shape))
-        d_input.fill(0.0)
+    stride, m = n * ow, oh * n * ow
+    up = upstream.transpose(1, 0, 2, 3)
+    if not up.flags.c_contiguous:  # already H'-major when it is a d_input
+        buf = _take(pool, key + ".up", up.shape)
+        buf[...] = up
+        up = buf
+    up = up.reshape(m, cout)
+    kern = kernels.reshape(k, k * cin, cout)
+    d_kernels = d_bias = d_input = None
+    if need_params:
+        d_kernels = np.empty(kern.shape)
         for ki in range(k):
-            for kj in range(k):
-                d_input[:, ki:ki + oh, kj:kj + ow, :] += d_cols6[:, :, :, ki, kj, :]
+            np.matmul(rows[ki * stride:ki * stride + m].T, up, out=d_kernels[ki])
+        d_kernels = d_kernels.reshape(kernels.shape)
+        d_bias = up.sum(axis=0)
+    if need_input:
+        d_rows = _take(pool, key + ".drows", (h * stride, k * cin))
+        np.matmul(up, kern[0].T, out=d_rows[:m])
+        d_rows[m:] = 0.0
+        part = _take(pool, key + ".dpart", (m, k * cin))
+        for ki in range(1, k):
+            np.matmul(up, kern[ki].T, out=part)
+            d_rows[ki * stride:ki * stride + m] += part
+        d_rows5 = d_rows.reshape(h, n, ow, k, cin)
+        d_x = _take(pool, key + ".dinput", (h, n, w, cin))
+        d_x[:, :, :ow] = d_rows5[:, :, :, 0]
+        d_x[:, :, ow:] = 0.0
+        for kj in range(1, k):
+            d_x[:, :, kj:kj + ow] += d_rows5[:, :, :, kj]
+        d_input = d_x.transpose(1, 0, 2, 3)
     return d_kernels, d_bias, d_input
 
 
@@ -146,50 +184,9 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
     if upstream.shape != (oh, ow, cout):
         raise ValueError(
             f"conv2d upstream must have shape {(oh, ow, cout)}, got {upstream.shape}")
-    _, cols = conv_forward_batch(batch, kernels, bias)
-    d_k, d_b, d_in = conv_backward_batch(cols, kernels, upstream[None], batch.shape)
+    _, rows = conv_forward_batch(batch, kernels, bias)
+    d_k, d_b, d_in = conv_backward_batch(rows, kernels, upstream[None], batch.shape)
     return LayerGrad(d_input=d_in[0], d_params={"kernels": d_k, "bias": d_b})
-
-
-def conv2d_naive(input: Tensor, kernels: Tensor, bias: Tensor,
-                 upstream: Tensor | None = None):
-    """Loop-nest reference convolution (test oracle for conv2d).
-
-    Deliberately written as explicit quadruple-nested loops; slow, but its
-    summation order and code path share nothing with the im2col route.
-    """
-    input = _as_f64(input)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    h, w, cin = input.shape
-    k, _, _, cout = kernels.shape
-    oh, ow = h - k + 1, w - k + 1
-    if upstream is None:
-        out = np.zeros((oh, ow, cout))
-        for i in range(oh):
-            for j in range(ow):
-                for f in range(cout):
-                    acc = 0.0
-                    for ki in range(k):
-                        for kj in range(k):
-                            for c in range(cin):
-                                acc += input[i + ki, j + kj, c] * kernels[ki, kj, c, f]
-                    out[i, j, f] = acc + bias[f]
-        return out
-    d_in = np.zeros_like(input)
-    d_k = np.zeros_like(kernels)
-    d_b = np.zeros_like(bias)
-    for i in range(oh):
-        for j in range(ow):
-            for f in range(cout):
-                u = upstream[i, j, f]
-                d_b[f] += u
-                for ki in range(k):
-                    for kj in range(k):
-                        for c in range(cin):
-                            d_k[ki, kj, c, f] += input[i + ki, j + kj, c] * u
-                            d_in[i + ki, j + kj, c] += kernels[ki, kj, c, f] * u
-    return LayerGrad(d_input=d_in, d_params={"kernels": d_k, "bias": d_b})
 
 
 # ---------------------------------------------------------------------------

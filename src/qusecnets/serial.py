@@ -67,6 +67,13 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, nbytes: int, what: str) -> str:
+        raw = self.take(nbytes, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise BadConfigError(f"{self.path}: {what} is not valid UTF-8: {e}") from e
+
 
 def read_container(path, expected_magic: bytes):
     """Returns (config_text, tensors dict) or raises a DataError subclass."""
@@ -81,12 +88,12 @@ def read_container(path, expected_magic: bytes):
     if version != FORMAT_VERSION:
         raise BadMagicError(f"{path}: unsupported format version {version}")
     text_len = r.u32("config length")
-    config_text = r.take(text_len, "config text").decode("utf-8")
+    config_text = r.text(text_len, "config text")
     count = r.u32("tensor count")
     tensors = {}
     for _ in range(count):
         name_len = r.u32("tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name = r.text(name_len, "tensor name")
         rank = r.u32(f"rank of tensor {name!r}")
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"extents of tensor {name!r}"))
         nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .attacks import AttackSpec, generate_batch
 from .errors import DataError
-from .evaluate import EvalReport, evaluate
+from .evaluate import EvalReport, evaluate, predict_all
 from .model import Model, ModelConfig, build_model, train
 from .serial import load_weights, save_weights
 
@@ -104,11 +104,12 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
         model = cache.get_or_train(config, train_set, epochs=epochs,
                                    batch_size=batch_size, lr=lr,
                                    train_seed=train_seed)
+        clean_probs = predict_all(model, test_set.images)
         accs = []
         for eps in epsilons:
             spec = AttackSpec(kind=attack_kind, epsilon=eps, **attack_params)
             batch = generate_batch(model, test_set.images, test_set.labels, spec)
-            report = evaluate(model, test_set, adversarial=batch)
+            report = evaluate(model, test_set, adversarial=batch, clean_probs=clean_probs)
             rows.append(SweepRow(levels=n, epsilon=eps, report=report))
             accs.append(report.adv_accuracy)
         model.clear_buffers()

@@ -1,10 +1,11 @@
-"""Shared test utilities: error metrics, synthetic datasets and reference attacks."""
+"""Shared test utilities: error metrics, synthetic datasets, a reference conv and reference attacks."""
 
 import numpy as np
 
 from qusecnets.attacks import _finish
 from qusecnets.data import Dataset
 from qusecnets.model import ModelConfig, build_model, train
+from qusecnets.nn import LayerGrad
 
 TINY_CONFIG = ModelConfig(
     input_shape=(8, 8, 1),
@@ -25,6 +26,46 @@ def max_rel_err(a, b, floor=1.0):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def conv2d_naive(input, kernels, bias, upstream=None):
+    """Loop-nest reference convolution (test oracle for nn.conv2d and the batched convs).
+
+    Deliberately written as explicit nested loops; slow, but its summation
+    order and code path share nothing with the row-patch GEMMs.
+    """
+    input = np.asarray(input, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    h, w, cin = input.shape
+    k, _, _, cout = kernels.shape
+    oh, ow = h - k + 1, w - k + 1
+    if upstream is None:
+        out = np.zeros((oh, ow, cout))
+        for i in range(oh):
+            for j in range(ow):
+                for f in range(cout):
+                    acc = 0.0
+                    for ki in range(k):
+                        for kj in range(k):
+                            for c in range(cin):
+                                acc += input[i + ki, j + kj, c] * kernels[ki, kj, c, f]
+                    out[i, j, f] = acc + bias[f]
+        return out
+    d_in = np.zeros_like(input)
+    d_k = np.zeros_like(kernels)
+    d_b = np.zeros_like(bias)
+    for i in range(oh):
+        for j in range(ow):
+            for f in range(cout):
+                u = upstream[i, j, f]
+                d_b[f] += u
+                for ki in range(k):
+                    for kj in range(k):
+                        for c in range(cin):
+                            d_k[ki, kj, c, f] += input[i + ki, j + kj, c] * u
+                            d_in[i + ki, j + kj, c] += kernels[ki, kj, c, f] * u
+    return LayerGrad(d_input=d_in, d_params={"kernels": d_k, "bias": d_b})
 
 
 def blob_dataset(n_per_class=20, classes=10, side=8, seed=0, name="synthetic"):

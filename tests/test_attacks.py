@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +24,7 @@ from qusecnets.attacks import (
     next_class_targets,
     transfer_attack,
 )
-from qusecnets.model import build_model, clone_config, train
+from qusecnets.model import build_model, train
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,7 @@ def test_jsma_rejects_target_equal_true_label(victim):
 def test_probability_gradients_sum_to_rounding_level(victim):
     """sum_c dP_c/dx = 0 because softmax sums to 1, so JSMA-F's beta is -alpha."""
     model, ds = victim
-    cq = build_model(clone_config(TINY_CONFIG, defense="cq", steepness=10.0))
+    cq = build_model(replace(TINY_CONFIG, defense="cq", steepness=10.0))
     for m in (model, cq):
         for x in ds.images[:3]:
             jac = m.probability_jacobian(x)
@@ -211,7 +213,7 @@ def test_top_pair_matches_pair_matrix_with_ties():
 
 @pytest.mark.parametrize("defense", ["none", "cq", "tq"])
 def test_jsma_matches_full_jacobian_reference(defense):
-    config = clone_config(TINY_CONFIG, defense=defense, levels=3, steepness=10.0)
+    config = replace(TINY_CONFIG, defense=defense, levels=3, steepness=10.0)
     model, ds = trained_tiny_model(config, epochs=10)
     for gamma in (0.05, 0.2, 0.5):
         spec = AttackSpec(kind="jsma", targeted=True, theta=1.0, gamma=gamma,
@@ -304,7 +306,7 @@ def test_transfer_degenerate_equals_white_box(victim):
 
 def test_transfer_zero_epsilon_keeps_clean_accuracy(victim):
     model, ds = victim
-    other = build_model(clone_config(TINY_CONFIG, seed=99))
+    other = build_model(replace(TINY_CONFIG, seed=99))
     train(other, blob_dataset(seed=3), epochs=10, batch_size=32, lr=0.05, seed=1)
     small = type(ds)(ds.images[:32], ds.labels[:32], ds.name, ds.split)
     report = transfer_attack(other, model, AttackSpec(kind="fgsm", epsilon=0.0),
@@ -314,7 +316,7 @@ def test_transfer_zero_epsilon_keeps_clean_accuracy(victim):
 
 def test_transfer_shape_mismatch():
     a = build_model(TINY_CONFIG)
-    b = build_model(clone_config(TINY_CONFIG, input_shape=(9, 9, 1)))
+    b = build_model(replace(TINY_CONFIG, input_shape=(9, 9, 1)))
     ds = blob_dataset(n_per_class=1)
     with pytest.raises(ValueError, match="shape"):
         transfer_attack(a, b, AttackSpec(kind="fgsm"), ds)

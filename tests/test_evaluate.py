@@ -9,7 +9,7 @@ from jsonschema import validate
 from helpers import TINY_CONFIG, blob_dataset, trained_tiny_model
 from qusecnets.attacks import AttackSpec, generate_batch
 from qusecnets.errors import DataError, ShapeMismatchError
-from qusecnets.evaluate import EvalReport, evaluate, perturbation_stats
+from qusecnets.evaluate import EvalReport, evaluate, perturbation_stats, predict_all
 from qusecnets.model import build_model
 from qusecnets.serial import AdversarialBatch
 
@@ -71,9 +71,6 @@ class OneHotOracle:
         out = np.full((len(images), 10), 1e-9)
         out[np.arange(len(images)), take] = 1.0 - 9e-9
         return out
-
-    def clear_buffers(self):
-        pass
 
 
 def test_evaluate_perfect_model():
@@ -140,3 +137,15 @@ def test_report_round_trip():
     report = evaluate(model, ds.subset(16))
     again = EvalReport.from_json(report.to_json())
     assert again.to_json() == report.to_json()
+
+
+def test_evaluate_with_clean_probs_matches_without():
+    model, ds = trained_tiny_model()
+    small = ds.subset(16)
+    batch = generate_batch(model, small.images, small.labels,
+                           AttackSpec(kind="fgsm", epsilon=0.2))
+    given = evaluate(model, small, adversarial=batch,
+                     clean_probs=predict_all(model, small.images))
+    assert given.to_json() == evaluate(model, small, adversarial=batch).to_json()
+    with pytest.raises(ShapeMismatchError, match="clean_probs"):
+        evaluate(model, small, clean_probs=np.zeros((15, 10)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from helpers import TINY_CONFIG, blob_dataset, max_rel_err
 from qusecnets import nn
 from qusecnets.errors import ShapeMismatchError
-from qusecnets.model import ModelConfig, build_model, clone_config, train
+from qusecnets.model import ModelConfig, build_model, train
 from qusecnets.quantize import quantize
 
 # Closed-form parameter count for the default 28x28x1 stack:
@@ -47,15 +49,15 @@ def test_same_seed_bit_identical_weights():
 
 def test_different_seed_differs():
     a = build_model(TINY_CONFIG)
-    b = build_model(clone_config(TINY_CONFIG, seed=TINY_CONFIG.seed + 1))
+    b = build_model(replace(TINY_CONFIG, seed=TINY_CONFIG.seed + 1))
     assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.params)
 
 
 def test_defense_prepends_quantizer():
     assert build_model(TINY_CONFIG).quantizer is None
-    cq = build_model(clone_config(TINY_CONFIG, defense="cq", levels=2))
+    cq = build_model(replace(TINY_CONFIG, defense="cq", levels=2))
     assert cq.quantizer is not None and not cq.quantizer.trainable
-    tq = build_model(clone_config(TINY_CONFIG, defense="tq", levels=3, steepness=5.0))
+    tq = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0))
     assert tq.quantizer is not None and tq.quantizer.trainable
 
 
@@ -74,8 +76,28 @@ def test_config_validation():
         ModelConfig(input_shape=(8, 8, 1), architecture=(("conv", 2, 3),))
 
 
+@pytest.mark.parametrize("defense", ["none", "cq"])
+@pytest.mark.parametrize("overrides", [
+    dict(levels="2"), dict(levels=True), dict(levels=2.0),
+    dict(steepness="50"), dict(steepness=True), dict(per_pixel_thresholds=1),
+], ids=["levels-str", "levels-bool", "levels-float", "steepness-str", "steepness-bool",
+        "per-pixel-int"])
+def test_config_types_checked_whatever_the_defense(defense, overrides):
+    with pytest.raises(TypeError):
+        ModelConfig(defense=defense, **overrides)
+
+
+def test_config_range_checks_only_for_defended():
+    ModelConfig(defense="none", levels=1, steepness=0.0)
+    # an int is a real number, and echoes like the equal float
+    assert ModelConfig(steepness=50).canonical_text() == ModelConfig(steepness=50.0).canonical_text()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="steepness"):
+            ModelConfig(defense="cq", steepness=bad)
+
+
 def test_config_canonical_text_round_trip():
-    cfg = clone_config(TINY_CONFIG, defense="tq", levels=4, steepness=5.0)
+    cfg = replace(TINY_CONFIG, defense="tq", levels=4, steepness=5.0)
     assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     # canonical: byte-stable across round trips
     again = ModelConfig.from_canonical_text(cfg.canonical_text())
@@ -103,7 +125,7 @@ def test_predict_sums_to_one():
 def test_defended_predict_is_composition():
     rng = np.random.default_rng(1)
     plain = build_model(TINY_CONFIG)
-    defended = build_model(clone_config(TINY_CONFIG, defense="cq", levels=2))
+    defended = build_model(replace(TINY_CONFIG, defense="cq", levels=2))
     for name in plain.params:
         npt.assert_array_equal(plain.params[name], defended.params[name])
     for _ in range(5):
@@ -121,7 +143,7 @@ def test_predict_shape_mismatch():
 
 def test_binarized_input_passes_through_sharp_quantizer():
     """A staircase-valued input is (numerically) a fixed point of n=2 quantization."""
-    defended = build_model(clone_config(TINY_CONFIG, defense="cq", levels=2,
+    defended = build_model(replace(TINY_CONFIG, defense="cq", levels=2,
                                         steepness=1e6))
     plain = build_model(TINY_CONFIG)
     x = np.zeros((8, 8, 1))
@@ -137,7 +159,7 @@ def test_binarized_input_passes_through_sharp_quantizer():
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 @pytest.mark.parametrize("defense", ["none", "cq"])
 def test_input_gradient_matches_finite_differences(loss, defense):
-    cfg = clone_config(TINY_CONFIG, loss=loss, defense=defense, levels=3,
+    cfg = replace(TINY_CONFIG, loss=loss, defense=defense, levels=3,
                        steepness=4.0)
     model = build_model(cfg)
     rng = np.random.default_rng(2)
@@ -160,7 +182,7 @@ def test_input_gradient_matches_finite_differences(loss, defense):
 
 
 def test_param_gradients_match_finite_differences():
-    cfg = clone_config(TINY_CONFIG, loss="cross_entropy")
+    cfg = replace(TINY_CONFIG, loss="cross_entropy")
     model = build_model(cfg)
     rng = np.random.default_rng(3)
     x = rng.random((4, 8, 8, 1))
@@ -205,7 +227,7 @@ def test_probability_jacobian_matches_per_class_fd():
 # ---------------------------------------------------------------------------
 
 def test_overfit_two_images():
-    cfg = clone_config(TINY_CONFIG, loss="mse")
+    cfg = replace(TINY_CONFIG, loss="mse")
     model = build_model(cfg)
     rng = np.random.default_rng(5)
     ds = blob_dataset(n_per_class=1, seed=5)
@@ -229,13 +251,13 @@ def test_training_is_deterministic():
 
 def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
     ds = blob_dataset(n_per_class=4, seed=2)
-    cq = build_model(clone_config(TINY_CONFIG, defense="cq", levels=3,
+    cq = build_model(replace(TINY_CONFIG, defense="cq", levels=3,
                                   steepness=5.0))
     before = cq.quantizer.thresholds.copy()
     train(cq, ds, epochs=2, batch_size=16, lr=0.05, seed=0)
     npt.assert_array_equal(cq.quantizer.thresholds, before)
 
-    tq = build_model(clone_config(TINY_CONFIG, defense="tq", levels=3,
+    tq = build_model(replace(TINY_CONFIG, defense="tq", levels=3,
                                   steepness=5.0))
     init = tq.quantizer.thresholds.copy()
     moved = []

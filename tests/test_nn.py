@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import max_rel_err
+from helpers import conv2d_naive, max_rel_err
 from qusecnets import nn
 
 
@@ -67,9 +67,9 @@ def test_conv_matches_naive_oracle():
     upstream = rng.standard_normal((3, 3, 3))
 
     npt.assert_allclose(nn.conv2d(x, kernels, bias),
-                        nn.conv2d_naive(x, kernels, bias), atol=1e-12)
+                        conv2d_naive(x, kernels, bias), atol=1e-12)
     fast = nn.conv2d(x, kernels, bias, upstream=upstream)
-    ref = nn.conv2d_naive(x, kernels, bias, upstream=upstream)
+    ref = conv2d_naive(x, kernels, bias, upstream=upstream)
     npt.assert_allclose(fast.d_input, ref.d_input, atol=1e-12)
     npt.assert_allclose(fast.d_params["kernels"], ref.d_params["kernels"], atol=1e-12)
     npt.assert_allclose(fast.d_params["bias"], ref.d_params["bias"], atol=1e-12)
@@ -334,10 +334,73 @@ def test_batched_conv_backward_sums_per_image_param_grads():
     kernels = rng.standard_normal((2, 2, 2, 3))
     bias = rng.standard_normal(3)
     upstream = rng.standard_normal((3, 4, 4, 3))
-    _, cols = nn.conv_forward_batch(xs, kernels, bias)
-    d_k, d_b, d_in = nn.conv_backward_batch(cols, kernels, upstream, xs.shape)
+    _, rows = nn.conv_forward_batch(xs, kernels, bias)
+    d_k, d_b, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape)
     per_image = [nn.conv2d(xs[i], kernels, bias, upstream=upstream[i]) for i in range(3)]
     npt.assert_allclose(d_k, sum(g.d_params["kernels"] for g in per_image), atol=1e-12)
     npt.assert_allclose(d_b, sum(g.d_params["bias"] for g in per_image), atol=1e-12)
     for i in range(3):
         npt.assert_allclose(d_in[i], per_image[i].d_input, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched row-patch conv against the loop-nest oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("h, w, k", [(5, 7, 1), (4, 6, 4), (6, 5, 3)],
+                         ids=["k1", "k-equals-h", "h-above-w"])
+def test_batched_conv_parity_matrix(n, cin, h, w, k):
+    rng = np.random.default_rng([n, cin, h, w, k])
+    cout = 2
+    xs = rng.standard_normal((n, h, w, cin))
+    kernels = rng.standard_normal((k, k, cin, cout))
+    bias = rng.standard_normal(cout)
+    upstream = rng.standard_normal((n, h - k + 1, w - k + 1, cout))
+    out, rows = nn.conv_forward_batch(xs, kernels, bias)
+    refs = [conv2d_naive(xs[i], kernels, bias, upstream=upstream[i]) for i in range(n)]
+    for i in range(n):
+        npt.assert_allclose(out[i], conv2d_naive(xs[i], kernels, bias), atol=1e-12)
+    ref_k = sum(g.d_params["kernels"] for g in refs)
+    ref_b = sum(g.d_params["bias"] for g in refs)
+    results = {}
+    for need_input in (True, False):
+        for need_params in (True, False):
+            d_k, d_b, d_in = nn.conv_backward_batch(
+                rows, kernels, upstream, xs.shape, need_input=need_input,
+                need_params=need_params)
+            results[need_input, need_params] = d_in
+            if need_params:
+                npt.assert_allclose(d_k, ref_k, atol=1e-12)
+                npt.assert_allclose(d_b, ref_b, atol=1e-12)
+            else:
+                assert d_k is None and d_b is None
+            if need_input:
+                for i in range(n):
+                    npt.assert_allclose(d_in[i], refs[i].d_input, atol=1e-12)
+            else:
+                assert d_in is None
+    assert results[True, False].tobytes() == results[True, True].tobytes()
+
+
+def test_pooled_conv_matches_unpooled_across_shape_changes():
+    rng = np.random.default_rng(14)
+    kernels = rng.standard_normal((3, 3, 2, 4))
+    bias = rng.standard_normal(4)
+    pool = nn.BufferPool()
+    for shape in [(2, 6, 5, 2), (3, 5, 7, 2), (2, 6, 5, 2)]:
+        xs = rng.standard_normal(shape)
+        upstream = rng.standard_normal((shape[0], shape[1] - 2, shape[2] - 2, 4))
+        fresh_out, fresh_rows = nn.conv_forward_batch(xs, kernels, bias)
+        fresh = nn.conv_backward_batch(fresh_rows, kernels, upstream, xs.shape)
+        out, rows = nn.conv_forward_batch(xs, kernels, bias, pool=pool, key="c")
+        npt.assert_array_equal(out, fresh_out)
+        pooled = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
+                                        pool=pool, key="c")
+        for a, b in zip(pooled, fresh):
+            npt.assert_array_equal(a, b)
+        # an upstream already laid out H'-major (a lower layer's d_input) is used in place
+        hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        for a, b in zip(nn.conv_backward_batch(rows, kernels, hmajor, xs.shape), fresh):
+            npt.assert_array_equal(a, b)

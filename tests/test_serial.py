@@ -1,12 +1,20 @@
 import json
+import struct
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import TINY_CONFIG
-from qusecnets.errors import BadMagicError, DataError, ShapeMismatchError, TruncatedFileError
-from qusecnets.model import build_model, clone_config
+from qusecnets.errors import (
+    BadConfigError,
+    BadMagicError,
+    DataError,
+    ShapeMismatchError,
+    TruncatedFileError,
+)
+from qusecnets.model import build_model
 from qusecnets.serial import (
     AdversarialBatch,
     load_adversarial_batch,
@@ -19,7 +27,7 @@ from qusecnets.serial import (
 
 @pytest.fixture
 def tq_model():
-    return build_model(clone_config(TINY_CONFIG, defense="tq", levels=3,
+    return build_model(replace(TINY_CONFIG, defense="tq", levels=3,
                                     steepness=5.0))
 
 
@@ -124,11 +132,18 @@ def _config_dict():
     json.dumps({**_config_dict(), "defense": "bogus"}),
     json.dumps({**_config_dict(), "architecture": 5}),
     "[1, 2]",
-], ids=["invalid-json", "missing-key", "bad-enum", "bad-type", "not-object"])
+    # wrongly typed fields are rejected even where an undefended model ignores them
+    *(json.dumps({**_config_dict(), "defense": "none", field: value})
+      for field, value in [("levels", "2"), ("levels", True), ("levels", 2.0),
+                           ("steepness", "50"), ("steepness", False),
+                           ("per_pixel_thresholds", "yes")]),
+], ids=["invalid-json", "missing-key", "bad-enum", "bad-type", "not-object",
+        "levels-str", "levels-bool", "levels-float", "steepness-str", "steepness-bool",
+        "per-pixel-str"])
 def test_malformed_weight_config_is_data_error(tmp_path, text):
     path = tmp_path / "m.qsn"
     write_container(path, b"QSN1", text, dict(build_model(TINY_CONFIG).params))
-    with pytest.raises(DataError, match="config"):
+    with pytest.raises(BadConfigError, match="config"):
         load_weights(path)
 
 
@@ -146,3 +161,24 @@ def test_writes_leave_no_temporary_files(tmp_path, tq_model):
     save_weights(tq_model, tmp_path / "m.qsn")
     save_weights(tq_model, tmp_path / "m.qsn")  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["m.qsn"]
+
+
+def _raw_container(config_bytes: bytes, names: list) -> bytes:
+    """A QSN1 container whose config text and tensor names are given as raw bytes."""
+    parts = [b"QSN1", struct.pack("<II", 1, len(config_bytes)), config_bytes,
+             struct.pack("<I", len(names))]
+    for name in names:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<II", 1, 1),
+                  struct.pack("<d", 0.0)]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("config_bytes, names", [
+    (b"\xff\xfe", []),
+    (TINY_CONFIG.canonical_text().encode(), [b"\xff\xfe"]),
+], ids=["config-text", "tensor-name"])
+def test_non_utf8_text_is_data_error(tmp_path, config_bytes, names):
+    path = tmp_path / "m.qsn"
+    path.write_bytes(_raw_container(config_bytes, names))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_weights(path)

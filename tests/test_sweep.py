@@ -1,10 +1,13 @@
 import csv
+import struct
+from dataclasses import replace
 
 import numpy.testing as npt
 import pytest
 
 from helpers import TINY_CONFIG, blob_dataset
-from qusecnets.model import clone_config
+from qusecnets.attacks import AttackSpec, generate_batch
+from qusecnets.evaluate import evaluate
 from qusecnets.sweep import ModelCache, sweep, sweep_to_csv
 
 
@@ -15,7 +18,7 @@ def sets():
     return train_set, test_set
 
 
-BASE = clone_config(TINY_CONFIG, defense="cq", steepness=10.0)
+BASE = replace(TINY_CONFIG, defense="cq", steepness=10.0)
 TRAIN_KW = dict(epochs=8, batch_size=32, lr=0.05, train_seed=0)
 
 
@@ -60,7 +63,7 @@ def test_cache_key_distinguishes_configs(sets, tmp_path):
     train_set, test_set = sets
     cache = ModelCache(tmp_path / "cache")
     sweep(BASE, [2], [0.1], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
-    other = clone_config(BASE, seed=BASE.seed + 1)
+    other = replace(BASE, seed=BASE.seed + 1)
     sweep(other, [2], [0.1], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
     assert [e[0] for e in cache.events] == ["trained", "trained"]
 
@@ -103,3 +106,29 @@ def test_csv_output(sets, tmp_path):
     assert rows[0][:4] == ["levels", "epsilon", "clean_accuracy", "adv_accuracy"]
     assert len(rows) == 1 + 2 + 1  # header + cells + recommendation
     assert rows[-1][0] == "recommended_levels"
+
+
+def test_non_utf8_cache_entry_is_retrained(sets, tmp_path):
+    train_set, _ = sets
+    ModelCache(tmp_path / "cache").get_or_train(BASE, train_set, **TRAIN_KW)
+    (path,) = (tmp_path / "cache").iterdir()
+    good = path.read_bytes()
+    # same header, config text replaced by two bytes that are not UTF-8
+    path.write_bytes(good[:8] + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0))
+
+    cache = ModelCache(tmp_path / "cache")
+    cache.get_or_train(BASE, train_set, **TRAIN_KW)
+    assert [e[0] for e in cache.events] == ["trained"]
+    assert path.read_bytes() == good
+
+
+def test_sweep_reports_match_evaluate_without_clean_probs(sets):
+    train_set, test_set = sets
+    cache = ModelCache()
+    result = sweep(BASE, [2, 3], [0.1, 0.3], "fgsm", train_set, test_set,
+                   cache=cache, **TRAIN_KW)
+    for row in result.rows:
+        model = cache.get_or_train(replace(BASE, levels=row.levels), train_set, **TRAIN_KW)
+        batch = generate_batch(model, test_set.images, test_set.labels,
+                               AttackSpec(kind="fgsm", epsilon=row.epsilon))
+        assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .evaluate import CHUNK
 from .model import Model
 from .serial import AdversarialBatch
 
@@ -69,8 +70,10 @@ class AdversarialExample:
 
 
 def _finish(model: Model, x, x_adv, true_label, pred_before, iterations,
-            target_class=None) -> AdversarialExample:
-    probs_after = model.predict(x_adv)
+            target_class=None, probs_after=None) -> AdversarialExample:
+    """Score x_adv; probs_after, when given, is the model's output on x_adv already."""
+    if probs_after is None:
+        probs_after = model.predict(x_adv)
     pred_after = int(probs_after.argmax())
     if target_class is not None:
         success = pred_after == target_class
@@ -92,27 +95,53 @@ def _finish(model: Model, x, x_adv, true_label, pred_before, iterations,
 # FGSM
 # ---------------------------------------------------------------------------
 
-def fgsm_batch(model: Model, images: np.ndarray, labels: np.ndarray,
-               spec: AttackSpec, chunk: int = 64) -> np.ndarray:
-    """x + epsilon * sign(d loss/d x), clamped to [0,1]; sign(0) = 0."""
+def fgsm_signs(model: Model, images: np.ndarray, labels: np.ndarray):
+    """(sign(d loss/d x), clean probabilities) for every image; sign(0) = 0.
+
+    FGSM's direction does not depend on epsilon, so one pass serves every
+    budget. Images are forwarded evaluate.CHUNK at a time, as in
+    evaluate.predict_all, so the probabilities equal predict_all's.
+    """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
-    out = np.empty_like(images)
-    for start in range(0, len(images), chunk):
-        xb = images[start:start + chunk]
-        yb = labels[start:start + chunk]
-        grad = model.input_gradient_batch(xb, yb)
+    signs = np.empty_like(images)
+    probs = np.empty((len(images), model.num_classes))
+    for start in range(0, len(images), CHUNK):
+        stop = start + CHUNK
+        chunk_probs, grad = model.input_gradient_batch(images[start:stop], labels[start:stop])
         if not np.all(np.isfinite(grad)):
-            raise RuntimeError(f"non-finite FGSM gradient in images {start}..{start + len(xb)}")
-        out[start:start + chunk] = np.clip(xb + spec.epsilon * np.sign(grad), 0.0, 1.0)
-    return out
+            raise RuntimeError(
+                f"non-finite FGSM gradient in images {start}..{min(stop, len(images))}")
+        probs[start:stop] = chunk_probs
+        signs[start:stop] = np.sign(grad)
+    return signs, probs
+
+
+def fgsm_step(images: np.ndarray, signs: np.ndarray, epsilon: float) -> np.ndarray:
+    """x + epsilon * signs, clamped to [0,1], written over `signs` and returned.
+
+    In place, so a batch holds no array besides the signs it was given;
+    pass a copy to keep the signs for another epsilon.
+    """
+    signs *= epsilon
+    signs += images
+    np.clip(signs, 0.0, 1.0, out=signs)
+    return signs
+
+
+def fgsm_batch(model: Model, images: np.ndarray, labels: np.ndarray,
+               spec: AttackSpec) -> np.ndarray:
+    """x + epsilon * sign(d loss/d x), clamped to [0,1]; see fgsm_signs."""
+    signs, _ = fgsm_signs(model, images, labels)
+    return fgsm_step(images, signs, spec.epsilon)
 
 
 def fgsm(model: Model, x: np.ndarray, true_label: int, spec: AttackSpec) -> AdversarialExample:
     """Single-image FGSM against the model's configured training loss."""
     x = np.asarray(x, dtype=np.float64)
-    pred_before = int(model.predict(x).argmax())
-    x_adv = fgsm_batch(model, x[None], np.array([true_label]), spec)[0]
+    signs, probs = fgsm_signs(model, x[None], np.array([true_label]))
+    pred_before = int(probs[0].argmax())
+    x_adv = fgsm_step(x, signs[0], spec.epsilon)
     return _finish(model, x, x_adv, true_label, pred_before, iterations=1)
 
 
@@ -129,13 +158,16 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     (a_p + a_q) * -(b_p + b_q) is (a_p + a_q)^2: each iteration needs only
     the target probability's gradient, and the pick is the top-2 alpha
     (see _top_pair). Stops at success, the iteration cap, or once
-    gamma * pixel-count pixels have been modified. Rejects non-targeted specs.
+    gamma * pixel-count pixels have been modified. One batch-1 forward per
+    image state serves the success check, the gradient and the final
+    scoring. Rejects non-targeted specs.
     """
     if not spec.targeted:
         raise ValueError("jsma requires a targeted AttackSpec")
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
-    pred_before = int(model.predict(x).argmax())
+    probs, cache = model.forward_batch(x[None], keep_cache=True)
+    pred_before = int(probs[0].argmax())
     if true_label is None:
         true_label = pred_before
     if target_class == true_label:
@@ -149,7 +181,6 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     for _ in range(spec.iterations):
         if modified.sum() >= budget:
             break
-        probs, cache = model.forward_batch(x_adv[None], keep_cache=True)
         if int(probs[0].argmax()) == target_class:
             break
         _, alpha = model.backward_batch(cache, nn.softmax_backward_batch(probs, d_probs),
@@ -164,8 +195,9 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
         for p in pick:
             flat[p] = min(1.0, flat[p] + spec.theta)
             modified[p] = True
+        probs, cache = model.forward_batch(x_adv[None], keep_cache=True)
     return _finish(model, x, x_adv, true_label, pred_before, iterations,
-                   target_class=target_class)
+                   target_class=target_class, probs_after=probs[0])
 
 
 def _top_pair(alpha: np.ndarray, eligible: np.ndarray):

@@ -61,11 +61,16 @@ def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):
     return l2_mean, linf_max, l0_mean
 
 
-def predict_all(model: Model, images: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Probabilities for every image, forwarded `chunk` images at a time."""
+# Images per forward pass. The GEMM results depend on the batch shape, so every
+# pass whose probabilities must equal predict_all's (attacks.fgsm_signs) uses it.
+CHUNK = 64
+
+
+def predict_all(model: Model, images: np.ndarray) -> np.ndarray:
+    """Probabilities for every image, forwarded CHUNK images at a time."""
     probs = np.empty((len(images), model.num_classes))
-    for start in range(0, len(images), chunk):
-        probs[start:start + chunk] = model.forward_batch(images[start:start + chunk])
+    for start in range(0, len(images), CHUNK):
+        probs[start:start + CHUNK] = model.forward_batch(images[start:start + CHUNK])
     return probs
 
 

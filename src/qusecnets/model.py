@@ -38,6 +38,31 @@ DEFENSES = ("none", "cq", "tq")
 LOSSES = ("mse", "cross_entropy")
 
 
+def _int(what: str, value) -> int:
+    """value as a Python int; TypeError for bools and non-integers."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return int(value)
+
+
+_LAYER_FIELDS = {"conv": ("filters", "kernel size"), "dense": ("width",)}
+
+
+def _layer(layer) -> tuple:
+    """An architecture entry as ("conv", filters, k) or ("dense", width), checked."""
+    layer = tuple(layer)
+    kind = layer[0] if layer else None
+    if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
+        raise ValueError(f"unknown layer kind in {layer!r}")
+    fields = _LAYER_FIELDS[kind]
+    if len(layer) != 1 + len(fields):
+        raise ValueError(f"{kind} layer must be ({kind!r}, {', '.join(fields)}), got {layer!r}")
+    values = tuple(_int(f"{kind} {name}", v) for name, v in zip(fields, layer[1:]))
+    if any(v <= 0 for v in values):
+        raise ValueError(f"{kind} layer values must be positive, got {layer!r}")
+    return (kind,) + values
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Everything needed to rebuild a model deterministically."""
@@ -52,20 +77,21 @@ class ModelConfig:
     per_pixel_thresholds: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        # types hold whatever the defense: canonical_text echoes these
+        # fields, so a wrong type would give a distinct ModelCache key
+        object.__setattr__(self, "input_shape",
+                           tuple(_int("input_shape extent", v) for v in self.input_shape))
         object.__setattr__(
             self, "architecture",
-            tuple(tuple(layer) for layer in self.architecture))
+            tuple(_layer(layer) for layer in self.architecture))
+        object.__setattr__(self, "seed", _int("seed", self.seed))
+        object.__setattr__(self, "levels", _int("levels", self.levels))
         if len(self.input_shape) != 3 or any(v <= 0 for v in self.input_shape):
             raise ValueError(f"input_shape must be 3 positive extents, got {self.input_shape}")
         if self.defense not in DEFENSES:
             raise ValueError(f"defense must be one of {DEFENSES}, got {self.defense!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        # types hold whatever the defense: canonical_text echoes these
-        # fields, so a wrong type would give a distinct ModelCache key
-        if type(self.levels) is not int:
-            raise TypeError(f"levels must be an int, got {self.levels!r}")
         if isinstance(self.steepness, bool) or not isinstance(self.steepness, (int, float)):
             raise TypeError(f"steepness must be a real number, got {self.steepness!r}")
         object.__setattr__(self, "steepness", float(self.steepness))
@@ -94,10 +120,8 @@ class ModelConfig:
                     raise ValueError(
                         f"kernel size {k} does not fit remaining input {h}x{w}")
                 h, w = h - k + 1, w - k + 1
-            elif kind == "dense":
+            else:  # dense
                 seen_dense = True
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
         if not self.architecture or self.architecture[-1][0] != "dense":
             raise ValueError("architecture must end with a dense layer")
 
@@ -263,13 +287,17 @@ class Model:
             d_logits = (probs - onehot) / n
         return loss, d_logits
 
-    def input_gradient_batch(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """d (configured training loss)/d x, through the quantizer when present."""
+    def input_gradient_batch(self, x: np.ndarray, labels: np.ndarray):
+        """(probabilities, d (configured training loss)/d x) for a batch.
+
+        The gradient runs through the quantizer when present; the
+        probabilities are those of the forward pass it starts from.
+        """
         probs, cache = self.forward_batch(x, keep_cache=True)
         _, d_logits = self.loss_and_grad_batch(probs, labels)
         _, d_raw = self.backward_batch(cache, d_logits,
                                        need_param_grads=False, need_input_grad=True)
-        return d_raw
+        return probs, d_raw
 
     def probability_jacobian(self, image: np.ndarray) -> np.ndarray:
         """d P_c/d x for every class c, shape (C,) + input_shape.

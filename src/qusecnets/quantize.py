@@ -58,14 +58,12 @@ class Quantizer:
 def sigmoid_unit(x, t, z):
     """Overflow-safe sigmoid 1 / (1 + exp(-z (x - t))); broadcasts over arrays."""
     a = np.asarray(z * (np.asarray(x, dtype=np.float64) - t))
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
+    # exp(-|a|) <= 1 never overflows; it is exp(-a) where a >= 0 and exp(a) elsewhere
+    e = np.exp(-np.abs(a))
+    out = np.where(a >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return float(out) if out.ndim == 0 else out
 
 
 def _sigmoid_terms(x: np.ndarray, q: Quantizer) -> np.ndarray:

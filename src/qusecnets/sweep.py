@@ -7,11 +7,13 @@ import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .attacks import AttackSpec, generate_batch
+import numpy as np
+
+from .attacks import AttackSpec, fgsm_signs, fgsm_step, generate_batch
 from .errors import DataError
 from .evaluate import EvalReport, evaluate, predict_all
 from .model import Model, ModelConfig, build_model, train
-from .serial import load_weights, save_weights
+from .serial import AdversarialBatch, load_weights, save_weights
 
 
 def _train_key(config: ModelConfig, epochs, batch_size, lr, train_seed, dataset) -> str:
@@ -91,12 +93,18 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
 
     Emits the full levels x epsilons cross-product and recommends the level
     count with the highest mean adversarial accuracy (ties to the smaller n).
+    Per level, FGSM takes one forward and input-gradient pass over the test
+    set: its probabilities are the clean pass, and its gradient signs serve
+    every epsilon. Other attacks run a clean pass, then generate_batch per
+    epsilon. Every attack spec is checked before any model is trained.
     """
     if not levels or not epsilons:
         raise ValueError("levels and epsilons must be non-empty")
     if cache is None:
         cache = ModelCache()
-    attack_params = dict(attack_params or {})
+    specs = [AttackSpec(kind=attack_kind, epsilon=eps, **(attack_params or {}))
+             for eps in epsilons]
+    images, labels = np.asarray(test_set.images, dtype=np.float64), test_set.labels
     rows = []
     mean_adv = {}
     for n in levels:
@@ -104,11 +112,18 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
         model = cache.get_or_train(config, train_set, epochs=epochs,
                                    batch_size=batch_size, lr=lr,
                                    train_seed=train_seed)
-        clean_probs = predict_all(model, test_set.images)
+        # generators: only one epsilon's batch is alive at a time
+        if attack_kind == "fgsm":
+            signs, clean_probs = fgsm_signs(model, images, labels)
+            batches = (AdversarialBatch(originals=images,
+                                        perturbed=fgsm_step(images, signs.copy(), spec.epsilon),
+                                        labels=labels, spec=spec.to_dict())
+                       for spec in specs)
+        else:
+            clean_probs = predict_all(model, images)
+            batches = (generate_batch(model, images, labels, spec) for spec in specs)
         accs = []
-        for eps in epsilons:
-            spec = AttackSpec(kind=attack_kind, epsilon=eps, **attack_params)
-            batch = generate_batch(model, test_set.images, test_set.labels, spec)
+        for eps, batch in zip(epsilons, batches):
             report = evaluate(model, test_set, adversarial=batch, clean_probs=clean_probs)
             rows.append(SweepRow(levels=n, epsilon=eps, report=report))
             accs.append(report.adv_accuracy)

@@ -1,10 +1,10 @@
-"""Shared test utilities: error metrics, synthetic datasets, a reference conv and reference attacks."""
+"""Shared test utilities: error metrics, synthetic datasets, pass counters, and reference kernels and attacks."""
 
 import numpy as np
 
 from qusecnets.attacks import _finish
 from qusecnets.data import Dataset
-from qusecnets.model import ModelConfig, build_model, train
+from qusecnets.model import Model, ModelConfig, build_model, train
 from qusecnets.nn import LayerGrad
 
 TINY_CONFIG = ModelConfig(
@@ -154,3 +154,64 @@ def reference_jsma(model, x, target_class, spec, true_label=None):
             modified[p] = True
     return _finish(model, x, x_adv, true_label, pred_before, iterations,
                    target_class=target_class)
+
+
+def masked_sigmoid_unit(x, t, z):
+    """Overflow-safe sigmoid by boolean-mask gather/scatter: reference for quantize.sigmoid_unit."""
+    a = np.asarray(z * (np.asarray(x, dtype=np.float64) - t))
+    scalar = a.ndim == 0
+    a = np.atleast_1d(a)
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return float(out[0]) if scalar else out
+
+
+def reference_fgsm_batch(model, images, labels, epsilon, chunk=64):
+    """FGSM one chunk at a time, gradient and step together: reference for attacks.fgsm_batch."""
+    images = np.asarray(images, dtype=np.float64)
+    labels = np.asarray(labels)
+    out = np.empty_like(images)
+    for start in range(0, len(images), chunk):
+        xb = images[start:start + chunk]
+        yb = labels[start:start + chunk]
+        probs, cache = model.forward_batch(xb, keep_cache=True)
+        _, d_logits = model.loss_and_grad_batch(probs, yb)
+        _, grad = model.backward_batch(cache, d_logits,
+                                       need_param_grads=False, need_input_grad=True)
+        out[start:start + chunk] = np.clip(xb + epsilon * np.sign(grad), 0.0, 1.0)
+    return out
+
+
+class PassCounter:
+    """Tallies forwarded images, input-gradient rows and Model.predict calls.
+
+    Install with monkeypatch; counts cover every Model instance.
+    """
+
+    def __init__(self, monkeypatch):
+        self.forward_images = 0
+        self.input_grad_rows = 0
+        self.predict_calls = 0
+        forward, backward, predict = Model.forward_batch, Model.backward_batch, Model.predict
+        counter = self
+
+        def counted_forward(model, x, keep_cache=False):
+            counter.forward_images += len(x)
+            return forward(model, x, keep_cache)
+
+        def counted_backward(model, cache, d_logits, need_param_grads=True,
+                             need_input_grad=False):
+            if need_input_grad:
+                counter.input_grad_rows += len(d_logits)
+            return backward(model, cache, d_logits, need_param_grads, need_input_grad)
+
+        def counted_predict(model, image):
+            counter.predict_calls += 1
+            return predict(model, image)
+
+        monkeypatch.setattr(Model, "forward_batch", counted_forward)
+        monkeypatch.setattr(Model, "backward_batch", counted_backward)
+        monkeypatch.setattr(Model, "predict", counted_predict)

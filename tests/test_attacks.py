@@ -6,7 +6,9 @@ import pytest
 
 from helpers import (
     TINY_CONFIG,
+    PassCounter,
     blob_dataset,
+    reference_fgsm_batch,
     reference_jsma,
     saliency_pair,
     trained_tiny_model,
@@ -19,11 +21,13 @@ from qusecnets.attacks import (
     cw_l2,
     fgsm,
     fgsm_batch,
+    fgsm_signs,
     generate_batch,
     jsma,
     next_class_targets,
     transfer_attack,
 )
+from qusecnets.evaluate import predict_all
 from qusecnets.model import build_model, train
 
 
@@ -93,6 +97,38 @@ def test_fgsm_example_bookkeeping(victim):
     assert ex.true_label == int(ds.labels[2])
     assert 0.0 <= ex.confidence_after <= 1.0
     assert ex.success == (ex.predicted_label_after != ex.true_label)
+
+
+@pytest.fixture(scope="module")
+def cq_victim():
+    """A CQ-defended tiny model, so FGSM's gradient runs through the quantizer."""
+    return trained_tiny_model(replace(TINY_CONFIG, defense="cq", levels=3, steepness=10.0),
+                              epochs=5)
+
+
+def test_fgsm_signs_probs_equal_predict_all(cq_victim):
+    model, ds = cq_victim
+    signs, probs = fgsm_signs(model, ds.images[:130], ds.labels[:130])
+    assert probs.tobytes() == predict_all(model, ds.images[:130]).tobytes()
+    assert signs.shape == ds.images[:130].shape
+    assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("n", [1, 64, 130])
+def test_fgsm_batch_matches_per_chunk_reference(cq_victim, n):
+    model, ds = cq_victim
+    for eps in (0.0, 0.1, 0.3):
+        adv = fgsm_batch(model, ds.images[:n], ds.labels[:n], AttackSpec(kind="fgsm", epsilon=eps))
+        ref = reference_fgsm_batch(model, ds.images[:n], ds.labels[:n], eps)
+        assert adv.tobytes() == ref.tobytes()
+
+
+def test_fgsm_signs_rejects_non_finite_gradient(cq_victim):
+    model, ds = cq_victim
+    images = ds.images[:3].copy()
+    images[1, 0, 0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite FGSM gradient"):
+        fgsm_signs(model, images, ds.labels[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +260,35 @@ def test_jsma_matches_full_jacobian_reference(defense):
             ex, ref = jsma(*args, true_label=true), reference_jsma(*args, true_label=true)
             assert ex.perturbed.tobytes() == ref.perturbed.tobytes()
             assert (ex.iterations_used, ex.success) == (ref.iterations_used, ref.success)
+
+
+def test_jsma_example_fields_match_reference(victim):
+    """Label before, label after and confidence come from the attack's own forwards."""
+    model, ds = victim
+    for iterations, gamma in ((0, 0.2), (3, 0.2), (100, 0.2), (100, 0.0)):
+        spec = AttackSpec(kind="jsma", targeted=True, gamma=gamma, iterations=iterations)
+        for i in range(6):
+            true = int(ds.labels[i])
+            args = (model, ds.images[i], (true + 1) % 10, spec)
+            ex, ref = jsma(*args, true_label=true), reference_jsma(*args, true_label=true)
+            assert ex.perturbed.tobytes() == ref.perturbed.tobytes()
+            assert (ex.predicted_label_before, ex.predicted_label_after, ex.confidence_after,
+                    ex.iterations_used, ex.success) == (
+                ref.predicted_label_before, ref.predicted_label_after, ref.confidence_after,
+                ref.iterations_used, ref.success)
+
+
+def test_jsma_forwards_each_image_state_once(victim, monkeypatch):
+    model, ds = victim
+    spec = AttackSpec(kind="jsma", targeted=True, gamma=0.2, iterations=100)
+    counter = PassCounter(monkeypatch)
+    for i in range(6):
+        true = int(ds.labels[i])
+        before = counter.forward_images
+        ex = jsma(model, ds.images[i], (true + 1) % 10, spec, true_label=true)
+        # the clean image, then the image after each pixel update
+        assert counter.forward_images - before == 1 + ex.iterations_used
+    assert counter.predict_calls == 0
 
 
 # ---------------------------------------------------------------------------

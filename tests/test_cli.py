@@ -125,6 +125,21 @@ def test_malformed_weight_config_exits_2_and_logs(env, capsys):
     assert log[-1]["status"] == 2
 
 
+def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
+    from qusecnets.model import ModelConfig
+    from qusecnets.serial import write_container
+
+    config = json.loads(ModelConfig(input_shape=(8, 8, 1),
+                                    architecture=(("conv", 4, 3), ("dense", 10))).canonical_text())
+    config["architecture"] = [["conv", "4", 3], ["dense", 10]]
+    bad = env / "bad.qsn"
+    write_container(bad, b"QSN1", json.dumps(config), {})
+    rc = cli(["evaluate", "--model", str(bad), "--report", str(env / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "Traceback" not in err
+
+
 def test_missing_model_file_exits_2(env):
     rc = cli(["attack", "--model", str(env / "nope.qsn"), "--method", "fgsm",
               "--out", str(env / "x.qsa")])

@@ -96,6 +96,49 @@ def test_config_range_checks_only_for_defended():
             ModelConfig(defense="cq", steepness=bad)
 
 
+MISTYPED_CONFIGS = [
+    (dict(architecture=[["conv", "4", 3], ["dense", 10]]), TypeError),
+    (dict(architecture=[["conv", 4, 3], ["dense", "10"]]), TypeError),
+    (dict(architecture=[["conv", 4, True], ["dense", 10]]), TypeError),
+    (dict(architecture=[["conv", 4, 3.0], ["dense", 10]]), TypeError),
+    (dict(input_shape=[8.7, 8, 1]), TypeError),
+    (dict(input_shape=[8, True, 1]), TypeError),
+    (dict(seed=True), TypeError),
+    (dict(seed=1.0), TypeError),
+    (dict(architecture=[["conv", 4], ["dense", 10]]), ValueError),
+    (dict(architecture=[["conv", 4, 3], ["dense", 10, 1]]), ValueError),
+    (dict(architecture=[[5, 4, 3], ["dense", 10]]), ValueError),
+    (dict(architecture=[["conv", 0, 3], ["dense", 10]]), ValueError),
+    (dict(architecture=[["conv", 4, 3], ["dense", 0]]), ValueError),
+]
+MISTYPED_IDS = ["conv-filters-str", "dense-width-str", "kernel-bool", "kernel-float",
+                "extent-float", "extent-bool", "seed-bool", "seed-float", "conv-arity",
+                "dense-arity", "kind-int", "filters-zero", "width-zero"]
+
+
+@pytest.mark.parametrize("overrides, error", MISTYPED_CONFIGS, ids=MISTYPED_IDS)
+def test_config_checks_architecture_input_shape_and_seed(overrides, error):
+    with pytest.raises(error):
+        replace(TINY_CONFIG, **overrides)
+
+
+def test_valid_config_canonical_text_is_unchanged():
+    assert ModelConfig().canonical_text() == (
+        '{"architecture":[["conv",64,8],["conv",128,6],["conv",128,5],["dense",10]],'
+        '"defense":"none","input_shape":[28,28,1],"levels":2,"loss":"mse",'
+        '"per_pixel_thresholds":false,"seed":0,"steepness":50.0}')
+    assert TINY_CONFIG.canonical_text() == (
+        '{"architecture":[["conv",4,3],["dense",10]],"defense":"none","input_shape":[8,8,1],'
+        '"levels":2,"loss":"cross_entropy","per_pixel_thresholds":false,"seed":5,'
+        '"steepness":50.0}')
+    # numpy integers and lists give the same config as Python ints and tuples
+    as_numpy = replace(TINY_CONFIG, input_shape=[np.int64(8), 8, 1],
+                       architecture=[["conv", np.int32(4), 3], ["dense", 10]],
+                       seed=np.int64(5))
+    assert as_numpy == TINY_CONFIG
+    assert as_numpy.canonical_text() == TINY_CONFIG.canonical_text()
+
+
 def test_config_canonical_text_round_trip():
     cfg = replace(TINY_CONFIG, defense="tq", levels=4, steepness=5.0)
     assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
@@ -165,7 +208,7 @@ def test_input_gradient_matches_finite_differences(loss, defense):
     rng = np.random.default_rng(2)
     x = rng.random((6, 8, 8, 1)) * 0.8 + 0.1
     labels = rng.integers(0, 10, 6)
-    analytic = model.input_gradient_batch(x, labels)
+    _, analytic = model.input_gradient_batch(x, labels)
 
     def f(img, label):
         # one image's share of the batch-mean loss

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_rel_err
+from helpers import masked_sigmoid_unit, max_rel_err
 from qusecnets import nn
 from qusecnets.quantize import (
     Quantizer,
@@ -38,6 +38,30 @@ def test_sigmoid_overflow_safe():
         out = sigmoid_unit(a, 0.0, 1.0)
         assert np.isfinite(out)
         assert 0.0 <= out <= 1.0
+
+
+SIGMOID_GRID = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 36.7, -36.7,
+     709.0, -709.0, 745.2, -745.2, 1e3, -1e3, 1e300, -1e300, np.inf, -np.inf],
+    np.linspace(-60.0, 60.0, 241),
+    np.random.default_rng(0).normal(0.0, 20.0, 500),
+])
+
+
+def test_sigmoid_bytes_match_masked_reference():
+    for x, t, z in [(SIGMOID_GRID, 0.0, 1.0),
+                    (np.linspace(0.0, 1.0, 101)[:, None], linear_thresholds(4), 50.0),
+                    (np.linspace(-0.5, 1.5, 64).reshape(4, 4, 4, 1), np.array([0.3, 0.6]), 2e3)]:
+        out, ref = sigmoid_unit(x, t, z), masked_sigmoid_unit(x, t, z)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_sigmoid_scalar_path_returns_float_matching_reference():
+    for a in SIGMOID_GRID[:20]:
+        out = sigmoid_unit(a, 0.0, 1.0)
+        assert type(out) is float
+        assert np.float64(out).tobytes() == np.float64(masked_sigmoid_unit(a, 0.0, 1.0)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,21 @@ def test_malformed_weight_config_is_data_error(tmp_path, text):
         load_weights(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("architecture", [["conv", "4", 3], ["dense", 10]]),
+    ("architecture", [["conv", 4, 3], ["dense", "10"]]),
+    ("architecture", [["conv", 4], ["dense", 10]]),
+    ("input_shape", [8.7, 8, 1]),
+    ("seed", True),
+], ids=["conv-filters-str", "dense-width-str", "conv-arity", "extent-float", "seed-bool"])
+def test_mistyped_architecture_shape_or_seed_is_bad_config(tmp_path, field, value):
+    path = tmp_path / "m.qsn"
+    text = json.dumps({**_config_dict(), field: value})
+    write_container(path, b"QSN1", text, dict(build_model(TINY_CONFIG).params))
+    with pytest.raises(BadConfigError, match="config"):
+        load_weights(path)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "\"fgsm\"", "{not json"])
 def test_adversarial_spec_must_be_json_object(tmp_path, text):
     tensors = {"originals": np.zeros((1, 2)), "perturbed": np.zeros((1, 2)),

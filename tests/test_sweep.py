@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy.testing as npt
 import pytest
 
-from helpers import TINY_CONFIG, blob_dataset
+from helpers import TINY_CONFIG, PassCounter, blob_dataset
 from qusecnets.attacks import AttackSpec, generate_batch
 from qusecnets.evaluate import evaluate
 from qusecnets.sweep import ModelCache, sweep, sweep_to_csv
@@ -132,3 +132,42 @@ def test_sweep_reports_match_evaluate_without_clean_probs(sets):
         batch = generate_batch(model, test_set.images, test_set.labels,
                                AttackSpec(kind="fgsm", epsilon=row.epsilon))
         assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()
+
+
+def test_fgsm_sweep_takes_one_gradient_pass_per_level(sets, monkeypatch):
+    train_set, _ = sets
+    test_set = blob_dataset(n_per_class=13, seed=2)  # 130 images: a partial last chunk
+    levels, epsilons = [2, 3], [0.0, 0.1, 0.3]
+    cache = ModelCache()
+    for n in levels:  # train outside the count
+        cache.get_or_train(replace(BASE, levels=n), train_set, **TRAIN_KW)
+    counter = PassCounter(monkeypatch)
+    sweep(BASE, levels, epsilons, "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
+    n_images = len(test_set)
+    # per level: one forward+backward, then one adversarial forward per epsilon
+    assert counter.forward_images == len(levels) * (1 + len(epsilons)) * n_images
+    assert counter.input_grad_rows == len(levels) * n_images
+
+
+def test_fgsm_sweep_rows_equal_per_epsilon_attacks(sets):
+    train_set, _ = sets
+    test_set = blob_dataset(n_per_class=13, seed=2)
+    cache = ModelCache()
+    epsilons = [0.2, 0.0, 0.05, 0.2]
+    result = sweep(BASE, [2, 4], epsilons, "fgsm", train_set, test_set,
+                   cache=cache, **TRAIN_KW)
+    assert [(r.levels, r.epsilon) for r in result.rows] == [
+        (n, eps) for n in (2, 4) for eps in epsilons]
+    for row in result.rows:
+        model = cache.get_or_train(replace(BASE, levels=row.levels), train_set, **TRAIN_KW)
+        batch = generate_batch(model, test_set.images, test_set.labels,
+                               AttackSpec(kind="fgsm", epsilon=row.epsilon))
+        assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()
+
+
+def test_bad_epsilon_fails_before_training(sets):
+    train_set, test_set = sets
+    cache = ModelCache()
+    with pytest.raises(ValueError, match="epsilon"):
+        sweep(BASE, [2], [0.1, 1.5], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
+    assert cache.events == []

@@ -15,7 +15,7 @@ import click
 
 from .attacks import AttackSpec, generate_batch
 from .data import load_cifar10, load_mnist
-from .errors import DataError
+from .errors import BadConfigError, DataError
 from .evaluate import EvalReport, evaluate
 from .model import DEFAULT_ARCHITECTURE, ModelConfig, build_model, train
 from .serial import (
@@ -207,11 +207,12 @@ def cmd_sweep(dataset, data_dir, defense, levels, epsilons, method, z, loss,
 @click.argument("report_path", type=click.Path())
 def cmd_report(report_path):
     """Pretty-print a saved report JSON."""
+    with open(report_path, "rb") as f:
+        data = f.read()
     try:
-        with open(report_path) as f:
-            report = EvalReport.from_json(f.read())
-    except (json.JSONDecodeError, TypeError) as e:
-        raise DataError(f"{report_path}: not a valid report file ({e})")
+        report = EvalReport.from_json(data.decode("utf-8"))
+    except (UnicodeDecodeError, BadConfigError) as e:
+        raise BadConfigError(f"{report_path}: not a valid report file ({e})") from e
     _echo_report(report)
     cfg = report.config
     click.echo(f"defense: {cfg.get('defense')} levels={cfg.get('levels')} "
@@ -245,9 +246,6 @@ def cli(argv) -> int:
     try:
         group.main(args=argv, standalone_mode=False)
         status = 0
-    except click.UsageError as e:
-        e.show(file=sys.stderr)
-        status = 1
     except click.ClickException as e:
         e.show(file=sys.stderr)
         status = 1

@@ -58,13 +58,16 @@ def _read_idx_images(path: Path) -> np.ndarray:
     data = path.read_bytes()
     if len(data) < 4:
         raise TruncatedFileError(f"{path}: header truncated")
-    magic = struct.unpack(">i", data[:4])[0]
+    magic = struct.unpack(">I", data[:4])[0]
     if magic != IDX_IMAGE_MAGIC:
         raise BadMagicError(
             f"{path}: bad magic {magic}, expected {IDX_IMAGE_MAGIC} for images")
     if len(data) < 16:
         raise TruncatedFileError(f"{path}: header truncated")
-    count, rows, cols = struct.unpack(">iii", data[4:16])
+    # unsigned: a negative count would make frombuffer read the whole payload
+    count, rows, cols = struct.unpack(">III", data[4:16])
+    if count * rows * cols == 0:  # numpy cannot shape an empty array around huge extents
+        raise DataError(f"{path}: header declares no pixels ({count}x{rows}x{cols})")
     expected = 16 + count * rows * cols
     if len(data) < expected:
         raise TruncatedFileError(
@@ -77,13 +80,13 @@ def _read_idx_labels(path: Path) -> np.ndarray:
     data = path.read_bytes()
     if len(data) < 4:
         raise TruncatedFileError(f"{path}: header truncated")
-    magic = struct.unpack(">i", data[:4])[0]
+    magic = struct.unpack(">I", data[:4])[0]
     if magic != IDX_LABEL_MAGIC:
         raise BadMagicError(
             f"{path}: bad magic {magic}, expected {IDX_LABEL_MAGIC} for labels")
     if len(data) < 8:
         raise TruncatedFileError(f"{path}: header truncated")
-    count = struct.unpack(">i", data[4:8])[0]
+    count = struct.unpack(">I", data[4:8])[0]
     if len(data) < 8 + count:
         raise TruncatedFileError(
             f"{path}: payload truncated ({len(data)} bytes, need {8 + count})")

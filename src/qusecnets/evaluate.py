@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ShapeMismatchError
+from .errors import BadConfigError, DataError, ShapeMismatchError
 from .model import Model
 from .serial import AdversarialBatch
 
@@ -44,7 +44,38 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
+        """Parse report JSON; BadConfigError unless it has the fields and types to_json writes."""
+        try:
+            d = json.loads(text)
+        except ValueError as e:  # JSONDecodeError is a ValueError
+            raise BadConfigError(f"not valid JSON: {e}") from e
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or set(d) != set(names):
+            raise BadConfigError(f"not a JSON object with the fields {', '.join(names)}")
+        adv = [d[n] for n in ("adv_accuracy", "l2_mean", "linf_max", "l0_mean")]
+        per_class, config = d["per_class_accuracy"], d["config"]
+        valid = [
+            _number(d["clean_accuracy"]),
+            _number(d["mean_confidence_correct"], nullable=True),
+            _number(d["mean_confidence_incorrect"], nullable=True),
+            # evaluate sets these together: all null without an attack
+            all(v is None for v in adv) or all(_number(v) for v in adv),
+            isinstance(per_class, list) and all(_number(v, nullable=True) for v in per_class),
+            isinstance(config, dict) and isinstance(config.get("attack"), (dict, type(None))),
+        ]
+        if not all(valid):
+            raise BadConfigError(
+                "clean_accuracy must be a number, the other metrics numbers or null (the "
+                "adversarial four all or none), per_class_accuracy a list of numbers or nulls, "
+                "and config an object whose attack is null or an object")
+        return cls(**d)
+
+
+def _number(value, nullable: bool = False) -> bool:
+    """value is a JSON number (bools excluded), or null when nullable."""
+    if value is None:
+        return nullable
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):

@@ -1,7 +1,7 @@
 """CNN assembly, training, and prediction.
 
 The default stack is Conv(64,8x8)+relu -> Conv(128,6x6)+relu ->
-Conv(128,5x5)+relu -> flatten -> Dense(10) -> softmax, with an optional
+Conv(128,5x5)+relu -> Dense(10) -> softmax, with an optional
 quantization layer in front (defense "cq" or "tq"). All randomness flows
 from the config seed through a single generator, so identical configs
 produce bit-identical models and training runs.
@@ -45,22 +45,102 @@ def _int(what: str, value) -> int:
     return int(value)
 
 
-_LAYER_FIELDS = {"conv": ("filters", "kernel size"), "dense": ("width",)}
-
-
 def _layer(layer) -> tuple:
     """An architecture entry as ("conv", filters, k) or ("dense", width), checked."""
     layer = tuple(layer)
     kind = layer[0] if layer else None
-    if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown layer kind in {layer!r}")
-    fields = _LAYER_FIELDS[kind]
+    fields = _KINDS[kind].FIELDS
     if len(layer) != 1 + len(fields):
         raise ValueError(f"{kind} layer must be ({kind!r}, {', '.join(fields)}), got {layer!r}")
     values = tuple(_int(f"{kind} {name}", v) for name, v in zip(fields, layer[1:]))
     if any(v <= 0 for v in values):
         raise ValueError(f"{kind} layer values must be positive, got {layer!r}")
     return (kind,) + values
+
+
+class _Conv:
+    """Valid convolution with a fused ReLU; owns <name>.kernels and <name>.bias."""
+
+    FIELDS = ("filters", "kernel size")
+
+    def __init__(self, name: str, in_shape: tuple, filters: int, k: int):
+        if len(in_shape) != 3:
+            raise ValueError("conv layer after dense is not supported")
+        h, w, cin = in_shape
+        if k > h or k > w:
+            raise ValueError(f"kernel size {k} does not fit remaining input {h}x{w}")
+        self.name, self.k, self.cin, self.filters = name, k, cin, filters
+        self.out_shape = (h - k + 1, w - k + 1, filters)
+
+    def init(self, rng, params: dict):
+        k, cin, filters = self.k, self.cin, self.filters
+        fan_in, fan_out = k * k * cin, k * k * filters
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params[self.name + ".kernels"] = rng.uniform(-limit, limit, (k, k, cin, filters))
+        params[self.name + ".bias"] = np.zeros(filters)
+
+    def forward(self, a, params: dict, pool, caches: list | None):
+        pre, rows = nn.conv_forward_batch(a, params[self.name + ".kernels"],
+                                          params[self.name + ".bias"], pool=pool, key=self.name)
+        if caches is not None:
+            caches.append({"rows": rows, "in_shape": a.shape, "mask": pre > 0.0})
+        return np.maximum(pre, 0.0, out=pre)
+
+    def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
+        # d is always our own scratch here (the stack ends in dense, so the
+        # caller's d_logits was already consumed by a matmul)
+        d = np.multiply(d, cache["mask"], out=d)
+        d_k, d_b, d_in = nn.conv_backward_batch(
+            cache["rows"], params[self.name + ".kernels"], d, cache["in_shape"],
+            need_input=need_input, pool=pool, key=self.name, need_params=grads is not None)
+        if grads is not None:
+            grads[self.name + ".kernels"] = d_k
+            grads[self.name + ".bias"] = d_b
+        return d_in
+
+
+class _Dense:
+    """Fully connected layer over the flattened input; owns <name>.W and <name>.b."""
+
+    FIELDS = ("width",)
+
+    def __init__(self, name: str, in_shape: tuple, width: int):
+        self.name, self.fan_in, self.width = name, math.prod(in_shape), width
+        self.out_shape = (width,)
+
+    def init(self, rng, params: dict):
+        limit = np.sqrt(6.0 / (self.fan_in + self.width))
+        params[self.name + ".W"] = rng.uniform(-limit, limit, (self.width, self.fan_in))
+        params[self.name + ".b"] = np.zeros(self.width)
+
+    def forward(self, a, params: dict, pool, caches: list | None):
+        flat = a.reshape(a.shape[0], -1)
+        if caches is not None:
+            caches.append({"input": flat, "in_shape": a.shape})
+        return flat @ params[self.name + ".W"].T + params[self.name + ".b"]
+
+    def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
+        if grads is not None:
+            grads[self.name + ".W"] = d.T @ cache["input"]
+            grads[self.name + ".b"] = d.sum(axis=0)
+        return (d @ params[self.name + ".W"]).reshape(cache["in_shape"]) if need_input else None
+
+
+_KINDS = {"conv": _Conv, "dense": _Dense}
+
+
+def _layers(config) -> list:
+    """The architecture as layer objects named <kind><index>; ValueError if it does not fit."""
+    layers = []
+    shape = config.input_shape
+    for i, (kind, *sizes) in enumerate(config.architecture):
+        layers.append(_KINDS[kind](f"{kind}{i}", shape, *sizes))
+        shape = layers[-1].out_shape
+    if not layers or not isinstance(layers[-1], _Dense):
+        raise ValueError("architecture must end with a dense layer")
+    return layers
 
 
 @dataclass(frozen=True)
@@ -105,25 +185,7 @@ class ModelConfig:
                 raise ValueError("defended config needs a finite steepness > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self._validate_architecture()
-
-    def _validate_architecture(self):
-        h, w, _ = self.input_shape
-        seen_dense = False
-        for layer in self.architecture:
-            kind = layer[0]
-            if kind == "conv":
-                if seen_dense:
-                    raise ValueError("conv layer after dense is not supported")
-                _, filters, k = layer
-                if k > h or k > w:
-                    raise ValueError(
-                        f"kernel size {k} does not fit remaining input {h}x{w}")
-                h, w = h - k + 1, w - k + 1
-            else:  # dense
-                seen_dense = True
-        if not self.architecture or self.architecture[-1][0] != "dense":
-            raise ValueError("architecture must end with a dense layer")
+        _layers(self)  # the shape walk: raises if the architecture does not fit
 
     def canonical_text(self) -> str:
         d = {
@@ -154,14 +216,14 @@ class ModelConfig:
 
 
 class Model:
-    """Ordered layer stack with named parameters and an optional quantizer."""
+    """Optional quantizer, then one layer object per architecture entry, then softmax."""
 
     def __init__(self, config: ModelConfig, quantizer: Quantizer | None,
-                 params: dict[str, np.ndarray], layer_plan: list):
+                 params: dict[str, np.ndarray]):
         self.config = config
         self.quantizer = quantizer
         self.params = params
-        self.layer_plan = layer_plan  # [("conv", name, in_shape), ("dense", name, in_dim), ...]
+        self.layers = _layers(config)
         self._pool = nn.BufferPool()
 
     def clear_buffers(self):
@@ -183,31 +245,13 @@ class Model:
         if x.shape[1:] != self.config.input_shape:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} != configured {self.config.input_shape}")
-        cache = {"raw_input": x} if keep_cache else None
         a = quantize(x, self.quantizer) if self.quantizer is not None else x
-        layer_caches = []
-        for kind, name, _ in self.layer_plan:
-            if kind == "conv":
-                kern, bias = self.params[name + ".kernels"], self.params[name + ".bias"]
-                pre, rows = nn.conv_forward_batch(a, kern, bias, pool=self._pool, key=name)
-                if keep_cache:
-                    layer_caches.append({"rows": rows, "in_shape": a.shape, "mask": pre > 0.0})
-                a = np.maximum(pre, 0.0, out=pre)
-            elif kind == "flatten":
-                if keep_cache:
-                    layer_caches.append({"in_shape": a.shape})
-                a = a.reshape(a.shape[0], -1)
-            elif kind == "dense":
-                W, b = self.params[name + ".W"], self.params[name + ".b"]
-                if keep_cache:
-                    layer_caches.append({"input": a})
-                a = a @ W.T + b
+        caches = [] if keep_cache else None
+        for layer in self.layers:
+            a = layer.forward(a, self.params, self._pool, caches)
         probs = nn.softmax_batch(a)
         if keep_cache:
-            cache["layers"] = layer_caches
-            cache["probs"] = probs
-            cache["logits"] = a
-            return probs, cache
+            return probs, {"raw_input": x, "layers": caches, "logits": a}
         return probs
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -230,33 +274,13 @@ class Model:
         the same names as self.params.
         """
         grads = {}
-        d = d_logits
-        plan = self.layer_plan
         want_bottom_delta = need_input_grad or (
             self.quantizer is not None and self.quantizer.trainable)
-        for i in range(len(plan) - 1, -1, -1):
-            kind, name, _ = plan[i]
-            lcache = cache["layers"][i]
-            if kind == "dense":
-                inp = lcache["input"]
-                if need_param_grads:
-                    grads[name + ".W"] = d.T @ inp
-                    grads[name + ".b"] = d.sum(axis=0)
-                d = d @ self.params[name + ".W"]
-            elif kind == "flatten":
-                d = d.reshape(lcache["in_shape"])
-            else:  # conv (+fused relu)
-                # d is always our own scratch here (the stack ends in dense,
-                # so the caller's d_logits was already consumed by a matmul)
-                d = np.multiply(d, lcache["mask"], out=d)
-                d_k, d_b, d_in = nn.conv_backward_batch(
-                    lcache["rows"], self.params[name + ".kernels"], d,
-                    lcache["in_shape"], need_input=(i > 0 or want_bottom_delta),
-                    pool=self._pool, key=name, need_params=need_param_grads)
-                if need_param_grads:
-                    grads[name + ".kernels"] = d_k
-                    grads[name + ".bias"] = d_b
-                d = d_in
+        d = d_logits
+        for i in range(len(self.layers) - 1, -1, -1):
+            d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool,
+                                        grads if need_param_grads else None,
+                                        need_input=i > 0 or want_bottom_delta)
         d_raw = None
         if want_bottom_delta:
             cache["quantizer_delta"] = d  # d cost / d quantizer-output
@@ -315,50 +339,8 @@ class Model:
         return d_raw
 
 
-def _layer_plan(config: ModelConfig):
-    """Resolve the architecture descriptor into shaped layers."""
-    h, w, cin = config.input_shape
-    plan = []
-    idx = 0
-    flattened = False
-    dim = None
-    for layer in config.architecture:
-        if layer[0] == "conv":
-            _, filters, k = layer
-            plan.append(("conv", f"conv{idx}", (h, w, cin)))
-            h, w, cin = h - k + 1, w - k + 1, filters
-            idx += 1
-        else:  # dense
-            if not flattened:
-                plan.append(("flatten", f"flatten{idx}", None))
-                dim = h * w * cin
-                flattened = True
-            plan.append(("dense", f"dense{idx}", dim))
-            dim = layer[1]
-            idx += 1
-    return plan
-
-
 def build_model(config: ModelConfig) -> Model:
     """Construct a model with seed-determined Glorot-uniform weights."""
-    rng = np.random.default_rng(config.seed)
-    plan = _layer_plan(config)
-    params: dict[str, np.ndarray] = {}
-    parametric = [entry for entry in plan if entry[0] != "flatten"]
-    for (kind, name, in_shape), layer in zip(parametric, config.architecture):
-        if kind == "conv":
-            _, filters, k = layer
-            cin = in_shape[2]
-            fan_in, fan_out = k * k * cin, k * k * filters
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name + ".kernels"] = rng.uniform(-limit, limit, (k, k, cin, filters))
-            params[name + ".bias"] = np.zeros(filters)
-        else:
-            _, out_dim = layer
-            fan_in = in_shape
-            limit = np.sqrt(6.0 / (fan_in + out_dim))
-            params[name + ".W"] = rng.uniform(-limit, limit, (out_dim, fan_in))
-            params[name + ".b"] = np.zeros(out_dim)
     quantizer = None
     if config.defense != "none":
         thresholds = linear_thresholds(config.levels)
@@ -367,7 +349,11 @@ def build_model(config: ModelConfig) -> Model:
                 thresholds, tuple(config.input_shape) + (config.levels - 1,)).copy()
         mode = TRAINABLE if config.defense == "tq" else CONSTANT
         quantizer = Quantizer(config.levels, config.steepness, thresholds, mode)
-    return Model(config, quantizer, params, plan)
+    model = Model(config, quantizer, {})
+    rng = np.random.default_rng(config.seed)
+    for layer in model.layers:
+        layer.init(rng, model.params)
+    return model
 
 
 @dataclass

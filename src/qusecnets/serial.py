@@ -13,6 +13,7 @@ with the embedded config.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -96,9 +97,12 @@ def read_container(path, expected_magic: bytes):
         name = r.text(name_len, "tensor name")
         rank = r.u32(f"rank of tensor {name!r}")
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"extents of tensor {name!r}"))
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8
+        nbytes = 8 * math.prod(shape)  # Python ints: an int64 product can wrap to 0
         payload = r.take(nbytes, f"payload of tensor {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as e:  # a zero extent next to ones too large for numpy to index
+            raise ShapeMismatchError(f"{path}: tensor {name!r} has unusable extents {shape}") from e
     return config_text, tensors
 
 

@@ -146,10 +146,49 @@ def test_missing_model_file_exits_2(env):
     assert rc == 2
 
 
-def test_report_on_non_report_exits_2(env):
-    p = env / "junk.json"
-    p.write_text("{\"foo\": 1}")
-    assert cli(["report", str(p)]) == 2
+VALID_REPORT = {
+    "clean_accuracy": 0.5, "adv_accuracy": 0.25, "mean_confidence_correct": 0.9,
+    "mean_confidence_incorrect": 0.6, "l2_mean": 1.5, "linf_max": 0.3, "l0_mean": 0.4,
+    "per_class_accuracy": [0.5, None, 1],
+    "config": {"defense": "cq", "levels": 2, "steepness": 50.0, "loss": "mse", "seed": 0,
+               "dataset": {"name": "mnist", "split": "test", "size": 8},
+               "attack": {"kind": "fgsm", "epsilon": 0.3, "iterations": 100,
+                          "targeted": False}},
+}
+
+
+def _report_bytes(**fields):
+    return json.dumps({**VALID_REPORT, **fields}).encode()
+
+
+NON_REPORTS = [
+    b"{\"foo\": 1}",
+    b"[1]",
+    b"{not json",
+    _report_bytes()[:-1] + b"\xff}",  # not valid UTF-8
+    _report_bytes(clean_accuracy="x"),
+    _report_bytes(clean_accuracy=None),
+    _report_bytes(adv_accuracy=True),
+    _report_bytes(l2_mean=None),  # adversarial accuracy without its perturbation stats
+    _report_bytes(mean_confidence_correct=[0.5]),
+    _report_bytes(config=[1]),
+    _report_bytes(config={**VALID_REPORT["config"], "attack": 5}),
+    _report_bytes(per_class_accuracy=3),
+    _report_bytes(per_class_accuracy=["x"]),
+]
+
+
+def test_report_on_non_report_exits_2(env, capsys):
+    good = env / "good.json"
+    good.write_bytes(_report_bytes())
+    assert cli(["report", str(good)]) == 0
+    for i, data in enumerate(NON_REPORTS):
+        p = env / f"junk{i}.json"
+        p.write_bytes(data)
+        assert cli(["report", str(p)]) == 2, data
+        assert "not a valid report" in capsys.readouterr().err
+    log = [json.loads(line) for line in (env / "runs.jsonl").read_text().splitlines()]
+    assert [entry["status"] for entry in log] == [0] + [2] * len(NON_REPORTS)
 
 
 def test_sweep_cli(env):

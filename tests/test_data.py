@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qusecnets.data import Dataset, load_cifar10, load_mnist
+from qusecnets.data import Dataset, _read_idx_images, _read_idx_labels, load_cifar10, load_mnist
 from qusecnets.errors import (
     BadMagicError,
     CountMismatchError,
@@ -87,6 +89,69 @@ def test_mnist_label_out_of_range(mnist_fixture_dir):
     write_idx_labels(d / "t10k-labels-idx1-ubyte", [7, 10])
     with pytest.raises(DataError, match="out of range"):
         load_mnist(d, split="test")
+
+
+@pytest.mark.parametrize("count, rows, cols", [(-1, 28, 28), (-3, 28, 28), (3, -1, -1)],
+                         ids=["count-minus-1", "count-minus-3", "rows-cols-minus-1"])
+def test_mnist_image_header_is_unsigned(mnist_fixture_dir, count, rows, cols):
+    d, _, _ = mnist_fixture_dir
+    p = d / "train-images-idx3-ubyte"
+    p.write_bytes(struct.pack(">iiii", 2051, count, rows, cols) + p.read_bytes()[16:])
+    with pytest.raises(TruncatedFileError, match="truncated"):
+        load_mnist(d, split="train")
+
+
+def test_mnist_label_header_is_unsigned(mnist_fixture_dir):
+    d, _, _ = mnist_fixture_dir
+    p = d / "train-labels-idx1-ubyte"
+    p.write_bytes(struct.pack(">ii", 2049, -5) + p.read_bytes()[8:])
+    with pytest.raises(TruncatedFileError, match="truncated"):
+        load_mnist(d, split="train")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any bytes after a valid magic parse as the header says, or raise DataError
+# ---------------------------------------------------------------------------
+
+HEADER_INT = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+
+
+def header_then_payload(fields):
+    """Header fields (small or any u32), then a short payload."""
+    return st.builds(lambda ints, payload: struct.pack(f">{fields}I", *ints) + payload,
+                     st.tuples(*[HEADER_INT] * fields), st.binary(max_size=80))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "idx"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=st.one_of(st.binary(max_size=80), header_then_payload(3)))
+@example(tail=struct.pack(">iii", -1, 28, 28) + bytes(3 * 784))
+@example(tail=struct.pack(">iii", -3, 28, 28) + bytes(3 * 784))
+@example(tail=struct.pack(">iii", 3, -1, -1) + bytes(3 * 784))
+@example(tail=struct.pack(">III", 0, 2 ** 30, 2 ** 30))
+def test_fuzz_idx_images(fuzz_path, tail):
+    fuzz_path.write_bytes(struct.pack(">I", 2051) + tail)
+    try:
+        images = _read_idx_images(fuzz_path)
+    except DataError:
+        return
+    assert images.shape == struct.unpack(">III", tail[:12]) + (1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=st.one_of(st.binary(max_size=80), header_then_payload(1)))
+@example(tail=struct.pack(">i", -5) + bytes([1, 2, 3]))
+def test_fuzz_idx_labels(fuzz_path, tail):
+    fuzz_path.write_bytes(struct.pack(">I", 2049) + tail)
+    try:
+        labels = _read_idx_labels(fuzz_path)
+    except DataError:
+        return
+    assert labels.shape == struct.unpack(">I", tail[:4])
 
 
 def test_env_fallback(mnist_fixture_dir, monkeypatch, tmp_path_factory):

@@ -74,6 +74,9 @@ def test_config_validation():
         ModelConfig(input_shape=(4, 4, 1))  # 8x8 kernel cannot fit
     with pytest.raises(ValueError, match="dense"):
         ModelConfig(input_shape=(8, 8, 1), architecture=(("conv", 2, 3),))
+    with pytest.raises(ValueError, match="conv layer after dense"):
+        ModelConfig(input_shape=(8, 8, 1),
+                    architecture=(("dense", 4), ("conv", 2, 1), ("dense", 10)))
 
 
 @pytest.mark.parametrize("defense", ["none", "cq"])
@@ -199,59 +202,71 @@ def test_binarized_input_passes_through_sharp_quantizer():
 # gradients through the whole model
 # ---------------------------------------------------------------------------
 
+# Every boundary between layer kinds: a loop in each gradient test runs them all.
+STACKS = {
+    "conv-dense": TINY_CONFIG.architecture,
+    "conv-conv-dense": (("conv", 3, 3), ("conv", 4, 2), ("dense", 10)),
+    "conv-dense-dense": (("conv", 4, 3), ("dense", 6), ("dense", 10)),
+    "dense": (("dense", 10),),
+}
+
+
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 @pytest.mark.parametrize("defense", ["none", "cq"])
 def test_input_gradient_matches_finite_differences(loss, defense):
-    cfg = replace(TINY_CONFIG, loss=loss, defense=defense, levels=3,
-                       steepness=4.0)
-    model = build_model(cfg)
     rng = np.random.default_rng(2)
     x = rng.random((6, 8, 8, 1)) * 0.8 + 0.1
     labels = rng.integers(0, 10, 6)
-    _, analytic = model.input_gradient_batch(x, labels)
+    for stack, architecture in STACKS.items():
+        cfg = replace(TINY_CONFIG, loss=loss, defense=defense, levels=3,
+                      steepness=4.0, architecture=architecture)
+        model = build_model(cfg)
+        _, analytic = model.input_gradient_batch(x, labels)
 
-    def f(img, label):
-        # one image's share of the batch-mean loss
-        probs = model.predict(img)
-        if loss == "mse":
-            truth = np.zeros(10)
-            truth[label] = 1.0
-            return nn.mse_cost(probs, truth)[0] / 6
-        return nn.cross_entropy(probs, label)[0] / 6
+        def f(img, label):
+            # one image's share of the batch-mean loss
+            probs = model.predict(img)
+            if loss == "mse":
+                truth = np.zeros(10)
+                truth[label] = 1.0
+                return nn.mse_cost(probs, truth)[0] / 6
+            return nn.cross_entropy(probs, label)[0] / 6
 
-    for i in range(3):
-        fd = nn.finite_difference_gradient(lambda v: f(v, labels[i]), x[i])
-        assert max_rel_err(analytic[i], fd, floor=1e-3) < 1e-4
+        for i in range(3):
+            fd = nn.finite_difference_gradient(lambda v: f(v, labels[i]), x[i])
+            assert max_rel_err(analytic[i], fd, floor=1e-3) < 1e-4, stack
 
 
 def test_param_gradients_match_finite_differences():
-    cfg = replace(TINY_CONFIG, loss="cross_entropy")
-    model = build_model(cfg)
     rng = np.random.default_rng(3)
     x = rng.random((4, 8, 8, 1))
     labels = rng.integers(0, 10, 4)
-    probs, cache = model.forward_batch(x, keep_cache=True)
-    _, d_logits = model.loss_and_grad_batch(probs, labels)
-    grads, _ = model.backward_batch(cache, d_logits)
+    for stack, architecture in STACKS.items():
+        model = build_model(replace(TINY_CONFIG, loss="cross_entropy", architecture=architecture))
+        probs, cache = model.forward_batch(x, keep_cache=True)
+        _, d_logits = model.loss_and_grad_batch(probs, labels)
+        grads, _ = model.backward_batch(cache, d_logits)
 
-    def total_loss():
-        p = model.forward_batch(x)
-        return model.loss_and_grad_batch(p, labels)[0]
+        def total_loss():
+            p = model.forward_batch(x)
+            return model.loss_and_grad_batch(p, labels)[0]
 
-    for name in ("conv0.bias", "dense1.b"):
-        param = model.params[name]
-        fd = np.zeros_like(param)
-        h = 1e-5
-        flat, fdflat = param.reshape(-1), fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = total_loss()
-            flat[i] = orig - h
-            down = total_loss()
-            flat[i] = orig
-            fdflat[i] = (up - down) / (2 * h)
-        assert max_rel_err(grads[name], fd, floor=1e-3) < 1e-4
+        biases = [name for name in model.params if name.endswith((".bias", ".b"))]
+        assert len(biases) == len(architecture)
+        for name in biases:
+            param = model.params[name]
+            fd = np.zeros_like(param)
+            h = 1e-5
+            flat, fdflat = param.reshape(-1), fd.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = total_loss()
+                flat[i] = orig - h
+                down = total_loss()
+                flat[i] = orig
+                fdflat[i] = (up - down) / (2 * h)
+            assert max_rel_err(grads[name], fd, floor=1e-3) < 1e-4, (stack, name)
 
 
 def test_probability_jacobian_matches_per_class_fd():

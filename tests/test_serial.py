@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import TINY_CONFIG
 from qusecnets.errors import (
@@ -19,6 +21,7 @@ from qusecnets.serial import (
     AdversarialBatch,
     load_adversarial_batch,
     load_weights,
+    read_container,
     save_adversarial_batch,
     save_weights,
     write_container,
@@ -178,13 +181,14 @@ def test_writes_leave_no_temporary_files(tmp_path, tq_model):
     assert [p.name for p in tmp_path.iterdir()] == ["m.qsn"]
 
 
-def _raw_container(config_bytes: bytes, names: list) -> bytes:
-    """A QSN1 container whose config text and tensor names are given as raw bytes."""
+def _raw_container(config_bytes: bytes, names: list, extents=(1,),
+                   payload=struct.pack("<d", 0.0)) -> bytes:
+    """A QSN1 container whose config text, tensor names and extents are given raw."""
     parts = [b"QSN1", struct.pack("<II", 1, len(config_bytes)), config_bytes,
              struct.pack("<I", len(names))]
     for name in names:
-        parts += [struct.pack("<I", len(name)), name, struct.pack("<II", 1, 1),
-                  struct.pack("<d", 0.0)]
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", len(extents)),
+                  struct.pack(f"<{len(extents)}I", *extents), payload]
     return b"".join(parts)
 
 
@@ -197,3 +201,63 @@ def test_non_utf8_text_is_data_error(tmp_path, config_bytes, names):
     path.write_bytes(_raw_container(config_bytes, names))
     with pytest.raises(DataError, match="UTF-8"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("extents", [(2 ** 31, 2 ** 31, 4), (2 ** 21, 2 ** 21, 2 ** 21)],
+                         ids=["2^64-bytes", "2^63-elements"])
+def test_extents_past_int64_are_truncated_not_wrapped(tmp_path, extents):
+    path = tmp_path / "m.qsn"
+    path.write_bytes(_raw_container(TINY_CONFIG.canonical_text().encode(), [b"w"], extents,
+                                    payload=b""))
+    with pytest.raises(TruncatedFileError, match="payload of tensor 'w'"):
+        load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any bytes after a valid magic parse or raise DataError
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def valid_containers(tmp_path_factory):
+    """A path to fuzz at, and the bytes of a small weights and adversarial container.
+
+    The tensors are tiny, so most of each container is header bytes.
+    """
+    d = tmp_path_factory.mktemp("fuzz")
+    small = replace(TINY_CONFIG, input_shape=(2, 2, 1), defense="tq", levels=3,
+                    architecture=(("conv", 1, 2), ("dense", 2)))
+    save_weights(build_model(small), d / "m.qsn")
+    save_adversarial_batch(AdversarialBatch(np.zeros((2, 3)), np.ones((2, 3)), np.arange(2),
+                                            {"kind": "fgsm"}), d / "a.qsa")
+    return d / "fuzz", {b"QSN1": (d / "m.qsn").read_bytes(), b"QSA1": (d / "a.qsa").read_bytes()}
+
+
+# version, config "{}", one tensor named "w"; its rank and extents follow
+ONE_TENSOR_NAMED_W = struct.pack("<II", 1, 2) + b"{}" + struct.pack("<II", 1, 1) + b"w"
+
+
+@pytest.mark.parametrize("magic", [b"QSN1", b"QSA1"])
+@settings(max_examples=200, deadline=None)
+@given(raw=st.none() | st.binary(max_size=120),
+       edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)), max_size=3),
+       cut=st.integers(0, 2 ** 16), extra=st.binary(max_size=16))
+@example(raw=ONE_TENSOR_NAMED_W + struct.pack("<4I", 3, 2 ** 31, 2 ** 31, 4),
+         edits=[], cut=0, extra=b"")
+@example(raw=ONE_TENSOR_NAMED_W + struct.pack("<4I", 3, 2 ** 21, 2 ** 21, 2 ** 21),
+         edits=[], cut=0, extra=b"")
+@example(raw=ONE_TENSOR_NAMED_W + struct.pack("<4I", 3, 0, 2 ** 31, 2 ** 31),
+         edits=[], cut=0, extra=b"")
+def test_fuzz_read_container(valid_containers, magic, raw, edits, cut, extra):
+    """After the magic: raw bytes, or else a valid container's bytes with up to three
+    of them overwritten, then cut short and extended."""
+    path, valid = valid_containers
+    if raw is None:
+        tail = bytearray(valid[magic][4:])
+        for pos, byte in edits:
+            tail[pos % len(tail)] = byte
+        raw = bytes(tail[:cut % (len(tail) + 1)]) + extra
+    path.write_bytes(magic + raw)
+    try:
+        read_container(path, magic)
+    except DataError:
+        pass

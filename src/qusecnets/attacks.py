@@ -10,7 +10,7 @@ Attacks are deterministic given (model, input, spec).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +46,7 @@ class AttackSpec:
             raise ValueError(f"iterations must be non-negative, got {self.iterations}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "epsilon": self.epsilon,
-            "iterations": self.iterations, "targeted": self.targeted,
-            "target_class": self.target_class, "kappa": self.kappa,
-            "c": self.c, "theta": self.theta, "gamma": self.gamma,
-            "step_size": self.step_size,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -320,20 +314,13 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
     """Attack a whole set of images and package the result for evaluation."""
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
+    targets = (np.full(len(labels), spec.target_class) if spec.target_class is not None
+               else next_class_targets(labels, model.num_classes))
     if spec.kind == "fgsm":
         perturbed = fgsm_batch(model, images, labels, spec)
     elif spec.kind == "cw_l2":
-        if spec.targeted:
-            pivots = (np.full(len(labels), spec.target_class)
-                      if spec.target_class is not None
-                      else next_class_targets(labels, model.num_classes))
-        else:
-            pivots = labels
-        perturbed, _ = _cw_optimize(model, images, pivots, spec)
+        perturbed, _ = _cw_optimize(model, images, targets if spec.targeted else labels, spec)
     else:  # jsma
-        targets = (np.full(len(labels), spec.target_class)
-                   if spec.target_class is not None
-                   else next_class_targets(labels, model.num_classes))
         perturbed = np.empty_like(images)
         for i in range(len(images)):
             ex = jsma(model, images[i], int(targets[i]), spec,

@@ -251,7 +251,7 @@ def cli(argv) -> int:
         status = 1
     except click.exceptions.Abort:
         status = 1
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         status = 2
     _append_run_log(argv, status)

@@ -1,7 +1,7 @@
 """Error types shared across file parsing, serialization, and the CLI.
 
-The CLI maps DataError (and subclasses) to exit code 2; anything else that
-escapes argument parsing is a usage problem (exit 1).
+The CLI maps DataError (and subclasses) and OSError to exit code 2;
+anything else that escapes argument parsing is a usage problem (exit 1).
 """
 
 

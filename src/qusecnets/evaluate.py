@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,17 +27,7 @@ class EvalReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "clean_accuracy": self.clean_accuracy,
-            "adv_accuracy": self.adv_accuracy,
-            "mean_confidence_correct": self.mean_confidence_correct,
-            "mean_confidence_incorrect": self.mean_confidence_incorrect,
-            "l2_mean": self.l2_mean,
-            "linf_max": self.linf_max,
-            "l0_mean": self.l0_mean,
-            "per_class_accuracy": self.per_class_accuracy,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -112,6 +102,13 @@ def _accuracy_bits(probs: np.ndarray, labels: np.ndarray):
     return preds, correct, conf
 
 
+def _check_labels(labels, num_classes: int):
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DataError(
+            f"labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
+
+
 def _mean_or_none(values: np.ndarray):
     return float(values.mean()) if values.size else None
 
@@ -125,6 +122,9 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
     predict_all(model, dataset.images); it spares the clean forward pass
     when one model is evaluated against several adversarial batches.
     """
+    _check_labels(dataset.labels, model.num_classes)
+    if adversarial is not None:
+        _check_labels(adversarial.labels, model.num_classes)
     if clean_probs is None:
         clean_probs = predict_all(model, dataset.images)
     elif clean_probs.shape != (len(dataset), model.num_classes):

@@ -119,13 +119,15 @@ class _Dense:
         flat = a.reshape(a.shape[0], -1)
         if caches is not None:
             caches.append({"input": flat, "in_shape": a.shape})
-        return flat @ params[self.name + ".W"].T + params[self.name + ".b"]
+        return nn.dense(flat, params[self.name + ".W"], params[self.name + ".b"])
 
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
-        if grads is not None:
-            grads[self.name + ".W"] = d.T @ cache["input"]
-            grads[self.name + ".b"] = d.sum(axis=0)
-        return (d @ params[self.name + ".W"]).reshape(cache["in_shape"]) if need_input else None
+        W = params[self.name + ".W"]
+        if grads is None:  # an input-gradient pass: no d_W
+            return nn.backprop_delta(d, W).reshape(cache["in_shape"]) if need_input else None
+        g = nn.dense(cache["input"], W, params[self.name + ".b"], upstream=d)
+        grads[self.name + ".W"], grads[self.name + ".b"] = g.d_params["W"], g.d_params["b"]
+        return g.d_input.reshape(cache["in_shape"]) if need_input else None
 
 
 _KINDS = {"conv": _Conv, "dense": _Dense}
@@ -256,11 +258,7 @@ class Model:
 
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Probability vector for one (H,W,C) image."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != self.config.input_shape:
-            raise ShapeMismatchError(
-                f"image shape {image.shape} != configured {self.config.input_shape}")
-        return self.forward_batch(image[None])[0]
+        return self.forward_batch(np.asarray(image)[None])[0]
 
     # -- backward -----------------------------------------------------------
 
@@ -293,23 +291,16 @@ class Model:
 
     def loss_and_grad_batch(self, probs: np.ndarray, labels: np.ndarray):
         """Mean loss over the batch plus d loss/d logits (via the softmax Jacobian)."""
-        n, c = probs.shape
-        labels = np.asarray(labels)
+        n = len(probs)
+        rows, labels = np.arange(n), np.asarray(labels)
+        onehot = np.zeros_like(probs)
+        onehot[rows, labels] = 1.0
         if self.config.loss == "mse":
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(n), labels] = 1.0
-            diff = probs - onehot
-            loss = float(np.sum(diff * diff) / (c * n))
-            d_probs = (2.0 / (c * n)) * diff
-            d_logits = nn.softmax_backward_batch(probs, d_probs)
-        else:
-            p_true = np.clip(probs[np.arange(n), labels], 1e-12, None)
-            loss = float(-np.log(p_true).mean())
-            # closed form of softmax-jacobian applied to the CE gradient
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(n), labels] = 1.0
-            d_logits = (probs - onehot) / n
-        return loss, d_logits
+            loss, d_probs = nn.mse_cost(probs, onehot)
+            return loss, nn.softmax_backward_batch(probs, d_probs)
+        p_true = np.clip(probs[rows, labels], 1e-12, None)
+        # closed form of softmax-jacobian applied to the CE gradient
+        return float(-np.log(p_true).mean()), (probs - onehot) / n
 
     def input_gradient_batch(self, x: np.ndarray, labels: np.ndarray):
         """(probabilities, d (configured training loss)/d x) for a batch.

@@ -3,9 +3,14 @@
 Everything is float64. There is no autodiff graph: each op either runs
 forward (``upstream=None``) or returns a LayerGrad holding the gradient of
 the cost w.r.t. its input and parameters, given the upstream gradient
-w.r.t. its output. Ops are pure functions; batched variants (leading N
-axis) back the single-sample spec surface and are what the training loop
-and attacks actually call.
+w.r.t. its output. Ops are pure functions, and each formula exists once.
+The model calls conv_forward_batch/conv_backward_batch, dense (only
+backprop_delta on input-gradient passes), softmax_batch,
+softmax_backward_batch and mse_cost; conv2d and softmax are their
+single-image and single-vector forms. Two ops only serve as references:
+the conv layer fuses its ReLU (relu's mask, applied in place), and the
+cross-entropy loss goes to d logits in closed form (cross_entropy is its
+d/dP).
 
 The batched conv copies its input k times (one width shift per kernel
 column) into a row-patch matrix and runs one GEMM per kernel row over a
@@ -194,25 +199,31 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
 # ---------------------------------------------------------------------------
 
 def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
-    """Affine layer: forward W @ input + b for input (N,), W (M,N), b (M,)."""
+    """Affine layer x @ W.T + b for input (N,) or a (B,N) batch, W (M,N), b (M,).
+
+    With upstream of the output's shape, returns a LayerGrad whose d_params
+    sum over the batch and whose d_input is backprop_delta(upstream, W).
+    """
     input = _as_f64(input)
     W = _as_f64(W)
     b = _as_f64(b)
     if W.ndim != 2:
         raise ValueError(f"dense W must be rank 2, got rank {W.ndim}")
     m, n = W.shape
-    if input.shape != (n,):
-        raise ValueError(f"dense input must have shape ({n},), got {input.shape}")
+    if input.ndim not in (1, 2) or input.shape[-1] != n:
+        raise ValueError(f"dense input must have shape ({n},) or (B,{n}), got {input.shape}")
     if b.shape != (m,):
         raise ValueError(f"dense bias must have shape ({m},), got {b.shape}")
     if upstream is None:
-        return W @ input + b
+        return input @ W.T + b
     upstream = _as_f64(upstream)
-    if upstream.shape != (m,):
-        raise ValueError(f"dense upstream must have shape ({m},), got {upstream.shape}")
+    if upstream.shape != input.shape[:-1] + (m,):
+        raise ValueError(
+            f"dense upstream must have shape {input.shape[:-1] + (m,)}, got {upstream.shape}")
+    rows = np.atleast_2d(upstream)
     return LayerGrad(
-        d_input=W.T @ upstream,
-        d_params={"W": np.outer(upstream, input), "b": upstream.copy()},
+        d_input=backprop_delta(upstream, W),
+        d_params={"W": rows.T @ np.atleast_2d(input), "b": rows.sum(axis=0)},
     )
 
 
@@ -221,49 +232,44 @@ def relu(x: Tensor, upstream: Tensor | None = None):
     x = _as_f64(x)
     if upstream is None:
         return np.maximum(x, 0.0)
-    upstream = _as_f64(upstream)
-    return LayerGrad(d_input=np.where(x > 0.0, upstream, 0.0))
+    return LayerGrad(d_input=_as_f64(upstream) * (x > 0.0))
 
 
 def softmax(logits: Tensor, upstream: Tensor | None = None):
-    """Max-stabilized softmax over a (C,) vector; backward uses the full Jacobian."""
+    """Max-stabilized softmax over the last axis; backward is softmax_backward_batch."""
     logits = _as_f64(logits)
     if logits.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 classes")
-    p = softmax_batch(logits[None] if logits.ndim == 1 else logits)
-    if logits.ndim == 1:
-        p = p[0]
+    p = softmax_batch(logits)
     if upstream is None:
         return p
-    upstream = _as_f64(upstream)
-    # J^T u with J_ij = p_i (delta_ij - p_j)
-    return LayerGrad(d_input=p * (upstream - np.dot(upstream, p)))
+    return LayerGrad(d_input=softmax_backward_batch(p, _as_f64(upstream)))
 
 
 def softmax_batch(logits: Tensor) -> Tensor:
-    """Row-wise stabilized softmax of a (N,C) batch."""
+    """Row-wise stabilized softmax of a (N,C) batch (or one (C,) row)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward_batch(probs: Tensor, upstream: Tensor) -> Tensor:
-    """d cost/d logits for a (N,C) batch given d cost/d probs."""
+    """d cost/d logits for a (N,C) batch given d cost/d probs: J^T u, J_ij = p_i (delta_ij - p_j)."""
     return probs * (upstream - np.sum(upstream * probs, axis=-1, keepdims=True))
 
 
 def mse_cost(P: Tensor, P_truth: Tensor):
-    """Mean squared error between prediction and truth vectors.
+    """Mean squared error between predictions and truths, (C,) or a (N,C) batch.
 
-    Returns (cost, d cost/d P) with cost = (1/C) sum_c (P_c - P'_c)^2.
+    Returns (cost, d cost/d P) with cost the mean of (P - P')^2 over every
+    entry, i.e. divided by C, or by N*C for a batch.
     """
     P = _as_f64(P)
     P_truth = _as_f64(P_truth)
     if P.shape != P_truth.shape:
-        raise ValueError(f"mse_cost length mismatch: {P.shape} vs {P_truth.shape}")
-    c = P.shape[-1]
+        raise ValueError(f"mse_cost shape mismatch: {P.shape} vs {P_truth.shape}")
     diff = P - P_truth
-    return float(np.sum(diff * diff) / c), (2.0 / c) * diff
+    return float(np.sum(diff * diff) / diff.size), (2.0 / diff.size) * diff
 
 
 def cross_entropy(P: Tensor, label: int):
@@ -281,13 +287,14 @@ def cross_entropy(P: Tensor, label: int):
 
 
 def backprop_delta(upstream_deltas: Tensor, W: Tensor) -> Tensor:
-    """Layer-l sensitivities from layer-(l+1) ones: delta_k = sum_j W_jk delta_j."""
+    """Dense d_input: delta_k = sum_j W_jk delta_j, for (M,) or (B,M) deltas and W (M,N)."""
     upstream_deltas = _as_f64(upstream_deltas)
     W = _as_f64(W)
-    if W.shape[0] != upstream_deltas.shape[0]:
+    if W.shape[0] != upstream_deltas.shape[-1]:
         raise ValueError(
-            f"backprop_delta: W has {W.shape[0]} rows but deltas length {upstream_deltas.shape[0]}")
-    return W.T @ upstream_deltas
+            f"backprop_delta: W has {W.shape[0]} rows but deltas length "
+            f"{upstream_deltas.shape[-1]}")
+    return upstream_deltas @ W
 
 
 def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:

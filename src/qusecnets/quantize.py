@@ -47,7 +47,7 @@ class Quantizer:
             raise ValueError(
                 f"thresholds last axis must be n-1={self.levels - 1}, "
                 f"got shape {self.thresholds.shape}")
-        if np.any(self.thresholds < 0.0) or np.any(self.thresholds > 1.0):
+        if not np.all((self.thresholds >= 0.0) & (self.thresholds <= 1.0)):  # NaN fails too
             raise ValueError("thresholds must lie in [0, 1]")
 
     @property
@@ -84,17 +84,17 @@ def quantize_grad_input(x, q: Quantizer) -> np.ndarray:
     return (q.steepness / (q.levels - 1)) * np.sum(s * (1.0 - s), axis=-1)
 
 
-def quantize_grad_threshold(x, q: Quantizer, k: int) -> np.ndarray:
-    """d quantize/d t_k per pixel: -(z/(n-1)) * s_k (1 - s_k).
+def _threshold_slopes(x: np.ndarray, q: Quantizer) -> np.ndarray:
+    """d quantize/d t_k per pixel for every k: -(z/(n-1)) * s_k (1 - s_k), shape x.shape + (n-1,)."""
+    s = _sigmoid_terms(x, q)
+    return -(q.steepness / (q.levels - 1)) * s * (1.0 - s)
 
-    k is the 0-based index into the thresholds vector.
-    """
+
+def quantize_grad_threshold(x, q: Quantizer, k: int) -> np.ndarray:
+    """d quantize/d t_k per pixel; k is the 0-based index into the thresholds vector."""
     if not 0 <= k < q.levels - 1:
         raise ValueError(f"threshold index {k} out of range 0..{q.levels - 2}")
-    x = np.asarray(x, dtype=np.float64)
-    t_k = q.thresholds[..., k]
-    s = sigmoid_unit(x, t_k, q.steepness)
-    return -(q.steepness / (q.levels - 1)) * s * (1.0 - s)
+    return _threshold_slopes(np.asarray(x, dtype=np.float64), q)[..., k]
 
 
 def threshold_gradients(q: Quantizer, d_cost_dy: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -108,8 +108,7 @@ def threshold_gradients(q: Quantizer, d_cost_dy: np.ndarray, x: np.ndarray) -> n
     d_cost_dy = np.asarray(d_cost_dy, dtype=np.float64)
     if d_cost_dy.shape != x.shape:
         raise ValueError(f"d_cost_dy shape {d_cost_dy.shape} != input shape {x.shape}")
-    s = _sigmoid_terms(x, q)
-    per_pixel = -(q.steepness / (q.levels - 1)) * s * (1.0 - s) * d_cost_dy[..., None]
+    per_pixel = _threshold_slopes(x, q) * d_cost_dy[..., None]
     # shared (n-1,) thresholds sum over every pixel axis; per-pixel ones
     # keep their own axes and sum only over what x has in front of them
     lead = x.ndim - (q.thresholds.ndim - 1)

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,23 +126,24 @@ def load_weights(path) -> Model:
     except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise BadConfigError(f"{path}: invalid model config: {e!r}") from e
     model = build_model(config)
-    for name, param in model.params.items():
+    expected = dict(model.params)
+    if model.quantizer is not None:
+        expected[_QUANT_KEY] = model.quantizer.thresholds
+    for name, param in expected.items():
         if name not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != param.shape:
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                 f"config implies {param.shape}")
-        model.params[name] = tensors[name]
+        if not np.all(np.isfinite(tensors[name])):
+            raise BadConfigError(f"{path}: tensor {name!r} holds a non-finite value")
+    model.params = {name: tensors[name] for name in model.params}
     if model.quantizer is not None:
-        if _QUANT_KEY not in tensors:
-            raise ShapeMismatchError(f"{path}: missing tensor {_QUANT_KEY!r}")
-        stored = tensors[_QUANT_KEY]
-        if stored.shape != model.quantizer.thresholds.shape:
-            raise ShapeMismatchError(
-                f"{path}: tensor {_QUANT_KEY!r} has shape {stored.shape}, "
-                f"config implies {model.quantizer.thresholds.shape}")
-        model.quantizer.thresholds = stored
+        try:  # replace runs the Quantizer checks on the stored thresholds
+            model.quantizer = replace(model.quantizer, thresholds=tensors[_QUANT_KEY])
+        except ValueError as e:
+            raise BadConfigError(f"{path}: tensor {_QUANT_KEY!r}: {e}") from e
     return model
 
 
@@ -189,9 +190,15 @@ def load_adversarial_batch(path) -> AdversarialBatch:
     for key in ("originals", "perturbed", "labels"):
         if key not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {key!r}")
+    labels = tensors["labels"]
+    if labels.ndim != 1 or tensors["originals"].ndim == 0:
+        raise ShapeMismatchError(f"{path}: labels must be a vector and originals a batch")
+    # NaN fails every comparison; the bound keeps the int64 cast exact
+    if not np.all((labels >= 0) & (labels < 2.0 ** 63) & (labels == np.floor(labels))):
+        raise BadConfigError(f"{path}: labels must be finite non-negative integers")
     return AdversarialBatch(
         originals=tensors["originals"],
         perturbed=tensors["perturbed"],
-        labels=tensors["labels"].astype(np.int64),
+        labels=labels.astype(np.int64),
         spec=spec,
     )

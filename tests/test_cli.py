@@ -146,6 +146,47 @@ def test_missing_model_file_exits_2(env):
     assert rc == 2
 
 
+def _run_log(env):
+    return [json.loads(line) for line in (env / "runs.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("argv", [["report", "{dir}"], ["evaluate", "--model", "{dir}"]],
+                         ids=["report", "evaluate"])
+def test_directory_argument_exits_2_and_logs(env, capsys, argv):
+    argv = [arg.format(dir=env) for arg in argv]
+    assert cli(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+
+
+def test_weights_with_nan_threshold_exit_2(env, capsys):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import write_container
+
+    model = build_model(ModelConfig(input_shape=(28, 28, 1), defense="cq", levels=3,
+                                    architecture=(("conv", 2, 5), ("dense", 10))))
+    bad = env / "bad.qsn"
+    write_container(bad, b"QSN1", model.config.canonical_text(),
+                    {**model.params, "quantizer.thresholds": np.array([np.nan, 0.5])})
+    assert cli(["evaluate", "--model", str(bad), "--count", "8"]) == 2
+    assert "quantizer.thresholds" in capsys.readouterr().err
+    assert _run_log(env)[-1]["status"] == 2
+
+
+def test_adversarial_labels_past_the_classes_exit_2(env, capsys):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import AdversarialBatch, save_adversarial_batch, save_weights
+
+    model = build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10))))
+    save_weights(model, env / "m.qsn")
+    images = np.zeros((2, 28, 28, 1))
+    save_adversarial_batch(AdversarialBatch(images, images, np.array([1, 10]), {"kind": "fgsm"}),
+                           env / "adv.qsa")
+    assert cli(["evaluate", "--model", str(env / "m.qsn"), "--inputs", str(env / "adv.qsa")]) == 2
+    assert "labels must lie in [0, 10)" in capsys.readouterr().err
+
+
 VALID_REPORT = {
     "clean_accuracy": 0.5, "adv_accuracy": 0.25, "mean_confidence_correct": 0.9,
     "mean_confidence_incorrect": 0.6, "l2_mean": 1.5, "linf_max": 0.3, "l0_mean": 0.4,

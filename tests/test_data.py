@@ -232,6 +232,31 @@ def test_cifar_multiple_train_batches_concatenate(tmp_path):
     npt.assert_array_equal(ds.labels, [1, 2])
 
 
+@st.composite
+def cifar_batch_bytes(draw):
+    """Whole records (labels any byte) cut short or extended by a few bytes, or raw bytes."""
+    records = draw(st.integers(0, 2))
+    labels = draw(st.lists(st.integers(0, 255), min_size=records, max_size=records))
+    pixels = draw(st.binary(min_size=3072, max_size=3072))
+    data = b"".join(bytes([label]) + pixels for label in labels)
+    cut = draw(st.integers(0, 2))
+    return data[:len(data) - cut] + draw(st.binary(max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), cifar_batch_bytes()))
+@example(data=b"")
+@example(data=bytes([10]) + bytes(3072))
+def test_fuzz_cifar10(fuzz_path, data):
+    (fuzz_path.parent / "test_batch.bin").write_bytes(data)
+    try:
+        ds = load_cifar10(fuzz_path.parent, split="test")
+    except DataError:
+        return
+    assert ds.images.shape == (len(data) // 3073, 32, 32, 3)
+    assert ds.labels.max() <= 9
+
+
 # ---------------------------------------------------------------------------
 # Dataset type
 # ---------------------------------------------------------------------------

@@ -149,3 +149,16 @@ def test_evaluate_with_clean_probs_matches_without():
     assert given.to_json() == evaluate(model, small, adversarial=batch).to_json()
     with pytest.raises(ShapeMismatchError, match="clean_probs"):
         evaluate(model, small, clean_probs=np.zeros((15, 10)))
+
+
+@pytest.mark.parametrize("bad_label", [-1, 10], ids=["negative", "num-classes"])
+def test_evaluate_rejects_labels_outside_the_classes(bad_label):
+    model = build_model(TINY_CONFIG)
+    ds = blob_dataset(n_per_class=1)
+    labels = ds.labels.copy()
+    labels[3] = bad_label
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
+        evaluate(model, type(ds)(ds.images, labels, ds.name, ds.split))
+    batch = AdversarialBatch(ds.images, ds.images.copy(), labels, {"kind": "fgsm", "epsilon": 0.0})
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
+        evaluate(model, ds, adversarial=batch)

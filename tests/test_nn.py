@@ -145,6 +145,48 @@ def test_dense_dimension_mismatch():
         nn.dense(np.ones(3), np.ones((2, 4)), np.zeros(2))
 
 
+def test_batched_dense_gradients_match_finite_differences():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 4))
+    W = rng.standard_normal((2, 4))
+    b = rng.standard_normal(2)
+    proj = rng.standard_normal((3, 2))
+    grad = nn.dense(x, W, b, upstream=proj)
+
+    fd_x = nn.finite_difference_gradient(
+        lambda v: float((nn.dense(v, W, b) * proj).sum()), x)
+    fd_W = nn.finite_difference_gradient(
+        lambda v: float((nn.dense(x, v, b) * proj).sum()), W)
+    fd_b = nn.finite_difference_gradient(
+        lambda v: float((nn.dense(x, W, v) * proj).sum()), b)
+    assert max_rel_err(grad.d_input, fd_x) < 1e-6
+    assert max_rel_err(grad.d_params["W"], fd_W) < 1e-6
+    assert max_rel_err(grad.d_params["b"], fd_b) < 1e-6
+
+
+def test_batched_dense_rows_match_single_row_calls():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((3, 5))
+    W = rng.standard_normal((4, 5))
+    b = rng.standard_normal(4)
+    upstream = rng.standard_normal((3, 4))
+    out = nn.dense(x, W, b)
+    grad = nn.dense(x, W, b, upstream=upstream)
+    rows = [nn.dense(x[i], W, b, upstream=upstream[i]) for i in range(3)]
+    for i in range(3):
+        npt.assert_allclose(out[i], nn.dense(x[i], W, b), atol=1e-12)
+        npt.assert_allclose(grad.d_input[i], rows[i].d_input, atol=1e-12)
+    npt.assert_allclose(grad.d_params["W"], sum(g.d_params["W"] for g in rows), atol=1e-12)
+    npt.assert_allclose(grad.d_params["b"], sum(g.d_params["b"] for g in rows), atol=1e-12)
+
+
+@pytest.mark.parametrize("upstream_shape", [(2,), (3, 3), (2, 2), (3, 2, 1)],
+                         ids=["unbatched", "wrong-width", "wrong-batch", "extra-axis"])
+def test_batched_dense_rejects_wrong_upstream_shape(upstream_shape):
+    with pytest.raises(ValueError, match="upstream"):
+        nn.dense(np.ones((3, 4)), np.ones((2, 4)), np.zeros(2), upstream=np.ones(upstream_shape))
+
+
 # ---------------------------------------------------------------------------
 # relu
 # ---------------------------------------------------------------------------
@@ -244,6 +286,19 @@ def test_mse_length_mismatch():
         nn.mse_cost(np.ones(3), np.ones(4))
 
 
+def test_batched_mse_is_the_mean_of_single_row_calls():
+    rng = np.random.default_rng(17)
+    p = rng.random((4, 6))
+    truth = np.eye(6)[[0, 3, 5, 3]]
+    cost, grad = nn.mse_cost(p, truth)
+    rows = [nn.mse_cost(p[i], truth[i]) for i in range(4)]
+    assert abs(cost - np.mean([c for c, _ in rows])) < 1e-12
+    for i in range(4):
+        npt.assert_allclose(grad[i], rows[i][1] / 4, atol=1e-12)
+    fd = nn.finite_difference_gradient(lambda v: nn.mse_cost(v, truth)[0], p)
+    assert max_rel_err(grad, fd) < 1e-8
+
+
 def test_cross_entropy_certain_prediction():
     p = np.array([0.0, 1.0, 0.0])
     assert nn.cross_entropy(p, 1)[0] == 0.0
@@ -284,10 +339,11 @@ def test_backprop_delta_single_neuron():
 def test_backprop_delta_equals_dense_d_input():
     rng = np.random.default_rng(10)
     W = rng.standard_normal((4, 6))
-    deltas = rng.standard_normal(4)
-    via_dense = nn.dense(rng.standard_normal(6), W, np.zeros(4),
-                         upstream=deltas).d_input
-    npt.assert_array_equal(nn.backprop_delta(deltas, W), via_dense)
+    for lead in [(), (3,)]:  # one delta vector, then a (B,M) batch of them
+        deltas = rng.standard_normal(lead + (4,))
+        via_dense = nn.dense(rng.standard_normal(lead + (6,)), W, np.zeros(4),
+                             upstream=deltas).d_input
+        npt.assert_array_equal(nn.backprop_delta(deltas, W), via_dense)
 
 
 def test_sgd_zero_gradient():

@@ -285,6 +285,8 @@ def test_quantizer_validation():
     with pytest.raises(ValueError):
         Quantizer(2, 5.0, np.array([1.5]))
     with pytest.raises(ValueError):
+        Quantizer(2, 5.0, np.array([np.nan]))  # fails both bounds checks
+    with pytest.raises(ValueError):
         Quantizer(3, 5.0, np.array([0.5]))  # wrong threshold count
     with pytest.raises(ValueError):
         Quantizer(2, 5.0, mode="sometimes")

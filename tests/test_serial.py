@@ -92,6 +92,60 @@ def test_missing_tensor(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("name, entries", [
+    ("quantizer.thresholds", {0: np.nan}),
+    ("quantizer.thresholds", {0: 2.0, 1: -1.0}),
+    ("quantizer.thresholds", {1: np.inf}),
+    ("conv0.bias", {0: np.nan}),
+    ("dense1.W", {7: -np.inf}),
+], ids=["nan-threshold", "threshold-outside-unit", "inf-threshold", "nan-bias", "inf-weight"])
+def test_loaded_weights_fail_closed(tmp_path, tq_model, name, entries):
+    tensors = dict(tq_model.params, **{"quantizer.thresholds": tq_model.quantizer.thresholds})
+    tensors[name] = tensors[name].copy()
+    for index, value in entries.items():
+        tensors[name].flat[index] = value
+    path = tmp_path / "m.qsn"
+    write_container(path, b"QSN1", tq_model.config.canonical_text(), tensors)
+    with pytest.raises(BadConfigError, match=name):
+        load_weights(path)
+
+
+def _write_adversarial(path, labels):
+    labels = np.asarray(labels, dtype=np.float64)
+    write_container(path, b"QSA1", "{}", {"originals": np.zeros((len(labels), 2)),
+                                           "perturbed": np.zeros((len(labels), 2)),
+                                           "labels": labels})
+
+
+@pytest.mark.parametrize("label", [np.nan, 2.5, -1.0, np.inf, 1e300],
+                         ids=["nan", "fraction", "negative", "inf", "past-int64"])
+def test_adversarial_labels_fail_closed(tmp_path, label):
+    path = tmp_path / "adv.qsa"
+    _write_adversarial(path, [3.0, label])
+    with pytest.raises(BadConfigError, match="labels"):
+        load_adversarial_batch(path)
+
+
+@pytest.mark.parametrize("scalars", [(b"labels",), (b"originals", b"perturbed")],
+                         ids=["labels", "images"])
+def test_adversarial_scalar_tensors_are_shape_errors(tmp_path, scalars):
+    parts = [b"QSA1", struct.pack("<II", 1, 2), b"{}", struct.pack("<I", 3)]
+    for name in (b"originals", b"perturbed", b"labels"):
+        rank_and_extents = struct.pack("<I", 0) if name in scalars else struct.pack("<II", 1, 1)
+        parts += [struct.pack("<I", len(name)), name, rank_and_extents, struct.pack("<d", 1.0)]
+    path = tmp_path / "adv.qsa"
+    path.write_bytes(b"".join(parts))
+    with pytest.raises(ShapeMismatchError):
+        load_adversarial_batch(path)
+
+
+def test_adversarial_labels_must_be_a_vector(tmp_path):
+    path = tmp_path / "adv.qsa"
+    _write_adversarial(path, [[1.0], [2.0]])
+    with pytest.raises(ShapeMismatchError, match="labels"):
+        load_adversarial_batch(path)
+
+
 def test_adversarial_batch_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     batch = AdversarialBatch(

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
+from .errors import BadConfigError
 from .evaluate import CHUNK
 from .model import Model
 from .serial import AdversarialBatch
@@ -24,12 +25,16 @@ ATTACK_KINDS = ("fgsm", "jsma", "cw_l2")
 
 @dataclass
 class AttackSpec:
-    """Attack kind plus its hyperparameters; unused fields are ignored."""
+    """Attack kind plus its hyperparameters; unused fields are ignored.
+
+    targeted defaults to True for jsma, which only runs targeted, and to
+    False otherwise. Out-of-range values raise BadConfigError.
+    """
 
     kind: str
     epsilon: float = 0.3
     iterations: int = 100
-    targeted: bool = False
+    targeted: bool | None = None
     target_class: int | None = None
     kappa: float = 0.0          # cw_l2 confidence margin
     c: float = 1.0              # cw_l2 trade-off constant
@@ -39,11 +44,27 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be non-negative, got {self.iterations}")
+            raise BadConfigError(f"kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
+        if self.targeted is None:
+            self.targeted = self.kind == "jsma"
+        if type(self.targeted) is not bool:
+            raise BadConfigError(f"targeted must be a bool, got {self.targeted!r}")
+        if self.kind == "jsma" and not self.targeted:
+            raise BadConfigError("jsma requires a targeted AttackSpec")
+        # NaN fails every comparison, so each range test rejects it
+        for name, ok, rule in [
+            ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
+            ("iterations", self.iterations >= 0, "non-negative"),
+            ("kappa", 0.0 <= self.kappa < np.inf, "finite and non-negative"),
+            ("c", 0.0 <= self.c < np.inf, "finite and non-negative"),
+            ("theta", 0.0 < self.theta < np.inf, "finite and positive"),
+            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+            ("step_size", 0.0 < self.step_size < np.inf, "finite and positive"),
+            ("target_class", self.target_class is None or self.target_class >= 0,
+             "non-negative"),
+        ]:
+            if not ok:
+                raise BadConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,10 +175,8 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     (see _top_pair). Stops at success, the iteration cap, or once
     gamma * pixel-count pixels have been modified. One batch-1 forward per
     image state serves the success check, the gradient and the final
-    scoring. Rejects non-targeted specs.
+    scoring. AttackSpec rejects untargeted jsma specs.
     """
-    if not spec.targeted:
-        raise ValueError("jsma requires a targeted AttackSpec")
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
     probs, cache = model.forward_batch(x[None], keep_cache=True)
@@ -319,7 +338,13 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
     if spec.kind == "fgsm":
         perturbed = fgsm_batch(model, images, labels, spec)
     elif spec.kind == "cw_l2":
-        perturbed, _ = _cw_optimize(model, images, targets if spec.targeted else labels, spec)
+        # CHUNK images at a time, as fgsm_signs: the descent keeps each batch's caches alive
+        pivots = targets if spec.targeted else labels
+        perturbed = np.empty_like(images)
+        for start in range(0, len(images), CHUNK):
+            stop = start + CHUNK
+            perturbed[start:stop], _ = _cw_optimize(model, images[start:stop],
+                                                    pivots[start:stop], spec)
     else:  # jsma
         perturbed = np.empty_like(images)
         for i in range(len(images)):

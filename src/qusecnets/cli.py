@@ -77,11 +77,11 @@ def group():
 def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
               seed, epochs, batch_size, lr, train_count, out):
     """Train a model (optionally defended) and save its weights."""
-    train_set = _load_split(dataset, data_dir, "train", train_count)
     config = ModelConfig(
         input_shape=INPUT_SHAPES[dataset], defense=defense, levels=levels,
         steepness=z, architecture=DEFAULT_ARCHITECTURE, seed=seed, loss=loss,
         per_pixel_thresholds=per_pixel_thresholds)
+    train_set = _load_split(dataset, data_dir, "train", train_count)
     model = build_model(config)
 
     def log(stats):
@@ -100,7 +100,8 @@ def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
 @click.option("--epsilon", type=float, default=0.3, show_default=True)
 @click.option("--iterations", type=int, default=100, show_default=True)
 @click.option("--targeted/--untargeted", default=None,
-              help="Default: targeted for jsma, untargeted otherwise.")
+              help="Default: targeted for jsma (which only runs targeted), "
+                   "untargeted otherwise.")
 @click.option("--kappa", type=float, default=0.0, show_default=True)
 @click.option("--const", "c", type=float, default=1.0, show_default=True,
               help="C&W trade-off constant.")
@@ -118,13 +119,11 @@ def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
 def cmd_attack(model_path, method, epsilon, iterations, targeted, kappa, c,
                theta, gamma, dataset, data_dir, split, count, out):
     """Generate adversarial examples against a saved model."""
-    model = load_weights(model_path)
-    ds = _load_split(dataset, data_dir, split, count)
-    if targeted is None:
-        targeted = method == "jsma"
     spec = AttackSpec(kind=method, epsilon=epsilon, iterations=iterations,
                       targeted=targeted, kappa=kappa, c=c, theta=theta,
                       gamma=gamma)
+    model = load_weights(model_path)
+    ds = _load_split(dataset, data_dir, split, count)
     batch = generate_batch(model, ds.images, ds.labels, spec)
     save_adversarial_batch(batch, out)
     click.echo(f"saved {len(ds)} adversarial examples to {out}")

@@ -25,5 +25,9 @@ class ShapeMismatchError(DataError):
     """A stored tensor's shape disagrees with the embedded config."""
 
 
-class BadConfigError(DataError):
-    """Text embedded in a file (config, spec, tensor name) is not valid UTF-8 or not a valid value."""
+class BadConfigError(DataError, ValueError):
+    """A config, spec, tensor name or tensor value is not valid UTF-8 or not a valid value.
+
+    Also a ValueError: ModelConfig and AttackSpec raise it for out-of-range
+    values, so the CLI maps bad options to exit code 2.
+    """

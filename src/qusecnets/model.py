@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
-from .errors import ShapeMismatchError
+from .errors import BadConfigError, ShapeMismatchError
 from .quantize import (
     CONSTANT,
     TRAINABLE,
@@ -50,13 +50,13 @@ def _layer(layer) -> tuple:
     layer = tuple(layer)
     kind = layer[0] if layer else None
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"unknown layer kind in {layer!r}")
-    fields = _KINDS[kind].FIELDS
-    if len(layer) != 1 + len(fields):
-        raise ValueError(f"{kind} layer must be ({kind!r}, {', '.join(fields)}), got {layer!r}")
-    values = tuple(_int(f"{kind} {name}", v) for name, v in zip(fields, layer[1:]))
+        raise BadConfigError(f"unknown layer kind in {layer!r}")
+    names = _KINDS[kind].FIELDS
+    if len(layer) != 1 + len(names):
+        raise BadConfigError(f"{kind} layer must be ({kind!r}, {', '.join(names)}), got {layer!r}")
+    values = tuple(_int(f"{kind} {name}", v) for name, v in zip(names, layer[1:]))
     if any(v <= 0 for v in values):
-        raise ValueError(f"{kind} layer values must be positive, got {layer!r}")
+        raise BadConfigError(f"{kind} layer values must be positive, got {layer!r}")
     return (kind,) + values
 
 
@@ -67,19 +67,14 @@ class _Conv:
 
     def __init__(self, name: str, in_shape: tuple, filters: int, k: int):
         if len(in_shape) != 3:
-            raise ValueError("conv layer after dense is not supported")
+            raise BadConfigError("conv layer after dense is not supported")
         h, w, cin = in_shape
         if k > h or k > w:
-            raise ValueError(f"kernel size {k} does not fit remaining input {h}x{w}")
-        self.name, self.k, self.cin, self.filters = name, k, cin, filters
+            raise BadConfigError(f"kernel size {k} does not fit remaining input {h}x{w}")
+        self.name = name
         self.out_shape = (h - k + 1, w - k + 1, filters)
-
-    def init(self, rng, params: dict):
-        k, cin, filters = self.k, self.cin, self.filters
-        fan_in, fan_out = k * k * cin, k * k * filters
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params[self.name + ".kernels"] = rng.uniform(-limit, limit, (k, k, cin, filters))
-        params[self.name + ".bias"] = np.zeros(filters)
+        self.shapes = {name + ".kernels": (k, k, cin, filters), name + ".bias": (filters,)}
+        self.fans = (k * k * cin, k * k * filters)
 
     def forward(self, a, params: dict, pool, caches: list | None):
         pre, rows = nn.conv_forward_batch(a, params[self.name + ".kernels"],
@@ -107,13 +102,11 @@ class _Dense:
     FIELDS = ("width",)
 
     def __init__(self, name: str, in_shape: tuple, width: int):
-        self.name, self.fan_in, self.width = name, math.prod(in_shape), width
+        fan_in = math.prod(in_shape)
+        self.name = name
         self.out_shape = (width,)
-
-    def init(self, rng, params: dict):
-        limit = np.sqrt(6.0 / (self.fan_in + self.width))
-        params[self.name + ".W"] = rng.uniform(-limit, limit, (self.width, self.fan_in))
-        params[self.name + ".b"] = np.zeros(self.width)
+        self.shapes = {name + ".W": (width, fan_in), name + ".b": (width,)}
+        self.fans = (fan_in, width)
 
     def forward(self, a, params: dict, pool, caches: list | None):
         flat = a.reshape(a.shape[0], -1)
@@ -130,18 +123,19 @@ class _Dense:
         return g.d_input.reshape(cache["in_shape"]) if need_input else None
 
 
+# each layer declares `shapes` (param name -> shape, weight then bias) and Glorot `fans`
 _KINDS = {"conv": _Conv, "dense": _Dense}
 
 
 def _layers(config) -> list:
-    """The architecture as layer objects named <kind><index>; ValueError if it does not fit."""
+    """The architecture as layer objects named <kind><index>; BadConfigError if it does not fit."""
     layers = []
     shape = config.input_shape
     for i, (kind, *sizes) in enumerate(config.architecture):
         layers.append(_KINDS[kind](f"{kind}{i}", shape, *sizes))
         shape = layers[-1].out_shape
     if not layers or not isinstance(layers[-1], _Dense):
-        raise ValueError("architecture must end with a dense layer")
+        raise BadConfigError("architecture must end with a dense layer")
     return layers
 
 
@@ -169,11 +163,11 @@ class ModelConfig:
         object.__setattr__(self, "seed", _int("seed", self.seed))
         object.__setattr__(self, "levels", _int("levels", self.levels))
         if len(self.input_shape) != 3 or any(v <= 0 for v in self.input_shape):
-            raise ValueError(f"input_shape must be 3 positive extents, got {self.input_shape}")
+            raise BadConfigError(f"input_shape must be 3 positive extents, got {self.input_shape}")
         if self.defense not in DEFENSES:
-            raise ValueError(f"defense must be one of {DEFENSES}, got {self.defense!r}")
+            raise BadConfigError(f"defense must be one of {DEFENSES}, got {self.defense!r}")
         if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+            raise BadConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if isinstance(self.steepness, bool) or not isinstance(self.steepness, (int, float)):
             raise TypeError(f"steepness must be a real number, got {self.steepness!r}")
         object.__setattr__(self, "steepness", float(self.steepness))
@@ -182,39 +176,24 @@ class ModelConfig:
                 f"per_pixel_thresholds must be a bool, got {self.per_pixel_thresholds!r}")
         if self.defense != "none":
             if self.levels < 2:
-                raise ValueError("defended config needs levels >= 2")
+                raise BadConfigError("defended config needs levels >= 2")
             if not 0 < self.steepness < math.inf:
-                raise ValueError("defended config needs a finite steepness > 0")
+                raise BadConfigError("defended config needs a finite steepness > 0")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise BadConfigError("seed must be a non-negative integer")
         _layers(self)  # the shape walk: raises if the architecture does not fit
 
     def canonical_text(self) -> str:
-        d = {
-            "input_shape": list(self.input_shape),
-            "defense": self.defense,
-            "levels": self.levels,
-            "steepness": self.steepness,
-            "architecture": [list(layer) for layer in self.architecture],
-            "seed": self.seed,
-            "loss": self.loss,
-            "per_pixel_thresholds": self.per_pixel_thresholds,
-        }
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_canonical_text(cls, text: str) -> "ModelConfig":
+        """Parse canonical_text output: a JSON object with exactly the dataclass fields."""
         d = json.loads(text)
-        return cls(
-            input_shape=tuple(d["input_shape"]),
-            defense=d["defense"],
-            levels=d["levels"],
-            steepness=d["steepness"],
-            architecture=tuple(tuple(layer) for layer in d["architecture"]),
-            seed=d["seed"],
-            loss=d["loss"],
-            per_pixel_thresholds=d["per_pixel_thresholds"],
-        )
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or set(d) != set(names):
+            raise BadConfigError(f"not a JSON object with the fields {', '.join(names)}")
+        return cls(**d)
 
 
 class Model:
@@ -330,20 +309,48 @@ class Model:
         return d_raw
 
 
-def build_model(config: ModelConfig) -> Model:
-    """Construct a model with seed-determined Glorot-uniform weights."""
-    quantizer = None
+_QUANT_KEY = "quantizer.thresholds"  # the thresholds' tensor name
+
+
+def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
+    """The model a config describes, with seed-determined fresh tensors or the given ones.
+
+    Fresh: Glorot-uniform weights, zero biases, k/n thresholds. Given (name ->
+    array, as a .qsn file holds them): used as they are. Each is checked
+    against the shape the config implies first: ShapeMismatchError if it is
+    missing or misshapen, BadConfigError if non-finite or a threshold is outside [0, 1].
+    """
+    model = Model(config, None, {})
+    shapes = {name: shape for layer in model.layers for name, shape in layer.shapes.items()}
     if config.defense != "none":
-        thresholds = linear_thresholds(config.levels)
-        if config.per_pixel_thresholds:
-            thresholds = np.broadcast_to(
-                thresholds, tuple(config.input_shape) + (config.levels - 1,)).copy()
+        pixels = config.input_shape if config.per_pixel_thresholds else ()
+        shapes[_QUANT_KEY] = pixels + (config.levels - 1,)
+    if tensors is None:
+        rng = np.random.default_rng(config.seed)
+        tensors = {}
+        for layer in model.layers:
+            (w, w_shape), (b, b_shape) = layer.shapes.items()
+            limit = np.sqrt(6.0 / sum(layer.fans))
+            tensors[w] = rng.uniform(-limit, limit, w_shape)
+            tensors[b] = np.zeros(b_shape)
+        if _QUANT_KEY in shapes:
+            tensors[_QUANT_KEY] = np.broadcast_to(linear_thresholds(config.levels),
+                                                  shapes[_QUANT_KEY]).copy()
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise ShapeMismatchError(f"missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ShapeMismatchError(
+                f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}")
+        if not np.all(np.isfinite(tensors[name])):
+            raise BadConfigError(f"tensor {name!r} holds a non-finite value")
+    model.params = {name: tensors[name] for name in shapes if name != _QUANT_KEY}
+    if _QUANT_KEY in shapes:
         mode = TRAINABLE if config.defense == "tq" else CONSTANT
-        quantizer = Quantizer(config.levels, config.steepness, thresholds, mode)
-    model = Model(config, quantizer, {})
-    rng = np.random.default_rng(config.seed)
-    for layer in model.layers:
-        layer.init(rng, model.params)
+        try:
+            model.quantizer = Quantizer(config.levels, config.steepness, tensors[_QUANT_KEY], mode)
+        except ValueError as e:
+            raise BadConfigError(f"tensor {_QUANT_KEY!r}: {e}") from e
     return model
 
 

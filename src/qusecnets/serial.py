@@ -16,18 +16,16 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfigError, BadMagicError, ShapeMismatchError, TruncatedFileError
-from .model import Model, ModelConfig, build_model
+from .errors import BadConfigError, BadMagicError, DataError, ShapeMismatchError, TruncatedFileError
+from .model import _QUANT_KEY, Model, ModelConfig, build_model
 
 WEIGHTS_MAGIC = b"QSN1"
 ADVERSARIAL_MAGIC = b"QSA1"
 FORMAT_VERSION = 1
-
-_QUANT_KEY = "quantizer.thresholds"
 
 
 def write_container(path, magic: bytes, config_text: str, tensors: dict) -> None:
@@ -119,32 +117,19 @@ def save_weights(model: Model, path) -> None:
 
 
 def load_weights(path) -> Model:
-    """Rebuild a model from a QSN1 file; bit-exact round trip."""
+    """Rebuild a model from a QSN1 file's config and tensors; bit-exact round trip.
+
+    build_model checks the tensors against the config; every DataError names the path.
+    """
     config_text, tensors = read_container(path, WEIGHTS_MAGIC)
     try:
         config = ModelConfig.from_canonical_text(config_text)
-    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError) as e:  # BadConfigError and JSONDecodeError are ValueErrors
         raise BadConfigError(f"{path}: invalid model config: {e!r}") from e
-    model = build_model(config)
-    expected = dict(model.params)
-    if model.quantizer is not None:
-        expected[_QUANT_KEY] = model.quantizer.thresholds
-    for name, param in expected.items():
-        if name not in tensors:
-            raise ShapeMismatchError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != param.shape:
-            raise ShapeMismatchError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"config implies {param.shape}")
-        if not np.all(np.isfinite(tensors[name])):
-            raise BadConfigError(f"{path}: tensor {name!r} holds a non-finite value")
-    model.params = {name: tensors[name] for name in model.params}
-    if model.quantizer is not None:
-        try:  # replace runs the Quantizer checks on the stored thresholds
-            model.quantizer = replace(model.quantizer, thresholds=tensors[_QUANT_KEY])
-        except ValueError as e:
-            raise BadConfigError(f"{path}: tensor {_QUANT_KEY!r}: {e}") from e
-    return model
+    try:
+        return build_model(config, tensors)
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

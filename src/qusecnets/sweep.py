@@ -88,7 +88,7 @@ class SweepResult:
 def sweep(base_config: ModelConfig, levels: list, epsilons: list,
           attack_kind: str, train_set, test_set, epochs: int = 5,
           batch_size: int = 64, lr: float = 0.01, train_seed: int = 0,
-          cache: ModelCache | None = None, attack_params: dict | None = None) -> SweepResult:
+          cache: ModelCache | None = None) -> SweepResult:
     """Train (or reuse) one defended model per level count, attack per epsilon.
 
     Emits the full levels x epsilons cross-product and recommends the level
@@ -96,19 +96,19 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     Per level, FGSM takes one forward and input-gradient pass over the test
     set: its probabilities are the clean pass, and its gradient signs serve
     every epsilon. Other attacks run a clean pass, then generate_batch per
-    epsilon. Every attack spec is checked before any model is trained.
+    epsilon. Every attack spec and model config is checked before any model
+    is trained.
     """
     if not levels or not epsilons:
         raise ValueError("levels and epsilons must be non-empty")
     if cache is None:
         cache = ModelCache()
-    specs = [AttackSpec(kind=attack_kind, epsilon=eps, **(attack_params or {}))
-             for eps in epsilons]
+    specs = [AttackSpec(kind=attack_kind, epsilon=eps) for eps in epsilons]
+    configs = [replace(base_config, levels=n) for n in levels]
     images, labels = np.asarray(test_set.images, dtype=np.float64), test_set.labels
     rows = []
     mean_adv = {}
-    for n in levels:
-        config = replace(base_config, levels=n)
+    for n, config in zip(levels, configs):
         model = cache.get_or_train(config, train_set, epochs=epochs,
                                    batch_size=batch_size, lr=lr,
                                    train_seed=train_seed)

@@ -27,8 +27,9 @@ from qusecnets.attacks import (
     next_class_targets,
     transfer_attack,
 )
-from qusecnets.evaluate import predict_all
-from qusecnets.model import build_model, train
+from qusecnets.errors import BadConfigError
+from qusecnets.evaluate import CHUNK, predict_all
+from qusecnets.model import Model, build_model, train
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,24 @@ def test_spec_validation():
         AttackSpec(kind="fgsm", epsilon=1.5)
     with pytest.raises(ValueError):
         AttackSpec(kind="fgsm", iterations=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", np.nan), ("theta", 0.0), ("theta", np.inf), ("gamma", -1.0), ("gamma", 1.5),
+    ("kappa", -0.5), ("kappa", np.nan), ("c", -1.0), ("c", np.inf), ("step_size", 0.0),
+    ("step_size", np.nan), ("targeted", 1), ("target_class", -1),
+])
+def test_spec_rejects_out_of_range_values_as_bad_config(field, value):
+    with pytest.raises(BadConfigError, match=field):
+        AttackSpec(kind="cw_l2", **{field: value})
+
+
+def test_spec_targeted_defaults_by_kind():
+    assert AttackSpec(kind="jsma").targeted is True
+    assert AttackSpec(kind="fgsm").targeted is False
+    assert AttackSpec(kind="cw_l2").to_dict()["targeted"] is False
+    with pytest.raises(BadConfigError, match="targeted"):
+        AttackSpec(kind="jsma", targeted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +360,25 @@ def test_cw_deterministic(victim):
     a = cw_l2(model, ds.images[0], target, spec)
     b = cw_l2(model, ds.images[0], target, spec)
     npt.assert_array_equal(a.perturbed, b.perturbed)
+
+
+def test_cw_batch_forwards_at_most_chunk_images(victim, monkeypatch):
+    model, _ = victim
+    ds = blob_dataset(n_per_class=7, seed=3)  # 70 images: one full chunk and a rest
+    sizes = []
+    forward = Model.forward_batch
+
+    def recorded(model, x, keep_cache=False):
+        sizes.append(len(x))
+        return forward(model, x, keep_cache)
+
+    monkeypatch.setattr(Model, "forward_batch", recorded)
+    spec = AttackSpec(kind="cw_l2", iterations=2, epsilon=0.1)
+    batch = generate_batch(model, ds.images, ds.labels, spec)
+    assert max(sizes) <= CHUNK
+    monkeypatch.undo()
+    whole, _ = _cw_optimize(model, ds.images[:CHUNK], ds.labels[:CHUNK], spec)
+    npt.assert_array_equal(batch.perturbed[:CHUNK], whole)
 
 
 # ---------------------------------------------------------------------------

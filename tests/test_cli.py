@@ -140,6 +140,27 @@ def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
     assert "config" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--defense", "cq", "--levels", "1", "--out", "cq.qsn"],
+    ["attack", "--model", "m.qsn", "--method", "fgsm", "--epsilon", "2", "--out", "a.qsa"],
+    ["attack", "--model", "m.qsn", "--method", "jsma", "--gamma", "-1", "--out", "a.qsa"],
+    ["attack", "--model", "m.qsn", "--method", "jsma", "--untargeted", "--out", "a.qsa"],
+    ["sweep", "--levels", "1", "--out", "s.csv"],
+    ["sweep", "--epsilons", "1.5", "--out", "s.csv"],
+], ids=["train-levels", "attack-epsilon", "jsma-gamma", "jsma-untargeted", "sweep-levels",
+        "sweep-epsilons"])
+def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import save_weights
+
+    save_weights(build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10)))),
+                 env / "m.qsn")
+    assert cli(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+
+
 def test_missing_model_file_exits_2(env):
     rc = cli(["attack", "--model", str(env / "nope.qsn"), "--method", "fgsm",
               "--out", str(env / "x.qsa")])

@@ -82,6 +82,34 @@ def test_shape_mismatch_against_config(tmp_path):
         load_weights(path)
 
 
+def test_load_draws_no_random_numbers(tmp_path, tq_model, monkeypatch):
+    path = tmp_path / "m.qsn"
+    save_weights(tq_model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_weights drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_weights(path)
+    for name in tq_model.params:
+        npt.assert_array_equal(loaded.params[name], tq_model.params[name])
+
+
+# tensors too large to ever allocate: 2^50 thresholds are 8 PiB, and a 10^11-wide
+# dense layer over 784 inputs holds 627 TB of weights
+@pytest.mark.parametrize("overrides, name", [
+    (dict(defense="cq", levels=2 ** 50), "quantizer.thresholds"),
+    (dict(input_shape=(28, 28, 1), architecture=(("dense", 10 ** 11),)), "dense0.W"),
+], ids=["huge-levels", "huge-dense-width"])
+def test_huge_config_is_shape_mismatch_not_allocation(tmp_path, overrides, name):
+    config = replace(TINY_CONFIG, **overrides)
+    tensors = dict(build_model(TINY_CONFIG).params, **{"quantizer.thresholds": np.full(1, 0.5)})
+    path = tmp_path / "m.qsn"
+    write_container(path, b"QSN1", config.canonical_text(), tensors)
+    with pytest.raises(ShapeMismatchError, match=name):
+        load_weights(path)
+
+
 def test_missing_tensor(tmp_path):
     model = build_model(TINY_CONFIG)
     tensors = dict(model.params)
@@ -189,12 +217,13 @@ def _config_dict():
     json.dumps({**_config_dict(), "defense": "bogus"}),
     json.dumps({**_config_dict(), "architecture": 5}),
     "[1, 2]",
+    json.dumps({**_config_dict(), "dropout": 0.5}),
     # wrongly typed fields are rejected even where an undefended model ignores them
     *(json.dumps({**_config_dict(), "defense": "none", field: value})
       for field, value in [("levels", "2"), ("levels", True), ("levels", 2.0),
                            ("steepness", "50"), ("steepness", False),
                            ("per_pixel_thresholds", "yes")]),
-], ids=["invalid-json", "missing-key", "bad-enum", "bad-type", "not-object",
+], ids=["invalid-json", "missing-key", "bad-enum", "bad-type", "not-object", "extra-key",
         "levels-str", "levels-bool", "levels-float", "steepness-str", "steepness-bool",
         "per-pixel-str"])
 def test_malformed_weight_config_is_data_error(tmp_path, text):

@@ -40,6 +40,16 @@ def test_cross_product_and_recommendation(sets):
     assert result.recommended_levels in (2, 3)
 
 
+@pytest.mark.parametrize("attack_kind", ["jsma", "cw_l2"])
+def test_sweep_runs_non_fgsm_attacks(sets, attack_kind):
+    train_set, test_set = sets
+    result = sweep(BASE, [2], [0.0, 0.3], attack_kind, train_set, test_set, **TRAIN_KW)
+    assert [(r.levels, r.epsilon) for r in result.rows] == [(2, 0.0), (2, 0.3)]
+    for row in result.rows:
+        attack = row.report.config["attack"]
+        assert (attack["kind"], attack["targeted"]) == (attack_kind, attack_kind == "jsma")
+
+
 def test_cache_prevents_retraining(sets, tmp_path):
     train_set, test_set = sets
     cache = ModelCache(tmp_path / "cache")

@@ -2,10 +2,13 @@
 
 All three are white-box: gradients flow through the quantization layer
 analytically when a defense is present (no gradient-masking shortcut).
+generate_batch is the one entry point for a set of images; only JSMA also
+works per image (jsma), since its pixel picks depend on each image alone.
 JSMA is the JSMA-F variant: because softmax outputs sum to 1, its beta map
 is -alpha, so it runs on the target probability's gradient alone.
-Black-box transfer wraps white-box generation against a substitute model.
-Attacks are deterministic given (model, input, spec).
+Black-box transfer is generate_batch on a substitute model, then
+evaluate.evaluate on the victim. Attacks are deterministic given
+(model, input, spec).
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ class AttackSpec:
     """Attack kind plus its hyperparameters; unused fields are ignored.
 
     targeted defaults to True for jsma, which only runs targeted, and to
-    False otherwise. Out-of-range values raise BadConfigError.
+    False otherwise; fgsm runs untargeted only. target_class applies only
+    to a targeted spec. Out-of-range values and these mismatches raise
+    BadConfigError.
     """
 
     kind: str
@@ -65,6 +70,10 @@ class AttackSpec:
         ]:
             if not ok:
                 raise BadConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.kind == "fgsm" and self.targeted:
+            raise BadConfigError("targeted fgsm is not supported; fgsm runs untargeted")
+        if self.target_class is not None and not self.targeted:
+            raise BadConfigError("target_class needs a targeted AttackSpec")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -74,7 +83,6 @@ class AttackSpec:
 class AdversarialExample:
     """One attacked image with bookkeeping for reporting."""
 
-    original: np.ndarray
     perturbed: np.ndarray
     true_label: int
     predicted_label_before: int
@@ -84,18 +92,15 @@ class AdversarialExample:
     iterations_used: int = 0
 
 
-def _finish(model: Model, x, x_adv, true_label, pred_before, iterations,
-            target_class=None, probs_after=None) -> AdversarialExample:
-    """Score x_adv; probs_after, when given, is the model's output on x_adv already."""
-    if probs_after is None:
-        probs_after = model.predict(x_adv)
+def _finish(x_adv, probs_after, true_label, pred_before, iterations,
+            target_class=None) -> AdversarialExample:
+    """Score x_adv from probs_after, the model's output on it."""
     pred_after = int(probs_after.argmax())
     if target_class is not None:
         success = pred_after == target_class
     else:
         success = pred_after != true_label
     return AdversarialExample(
-        original=np.asarray(x, dtype=np.float64).copy(),
         perturbed=x_adv,
         true_label=int(true_label),
         predicted_label_before=pred_before,
@@ -151,21 +156,12 @@ def fgsm_batch(model: Model, images: np.ndarray, labels: np.ndarray,
     return fgsm_step(images, signs, spec.epsilon)
 
 
-def fgsm(model: Model, x: np.ndarray, true_label: int, spec: AttackSpec) -> AdversarialExample:
-    """Single-image FGSM against the model's configured training loss."""
-    x = np.asarray(x, dtype=np.float64)
-    signs, probs = fgsm_signs(model, x[None], np.array([true_label]))
-    pred_before = int(probs[0].argmax())
-    x_adv = fgsm_step(x, signs[0], spec.epsilon)
-    return _finish(model, x, x_adv, true_label, pred_before, iterations=1)
-
-
 # ---------------------------------------------------------------------------
 # JSMA (targeted, increasing features, pixel pairs)
 # ---------------------------------------------------------------------------
 
 def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
-         true_label: int | None = None) -> AdversarialExample:
+         true_label: int) -> AdversarialExample:
     """Saliency-map attack (JSMA-F): flood the most target-salient pixel pair by theta.
 
     JSMA-F scores a pair by alpha = d P_t/d x and beta = sum_{c != t} d P_c/d x.
@@ -175,14 +171,14 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     (see _top_pair). Stops at success, the iteration cap, or once
     gamma * pixel-count pixels have been modified. One batch-1 forward per
     image state serves the success check, the gradient and the final
-    scoring. AttackSpec rejects untargeted jsma specs.
+    scoring. true_label is the image's label; target_class must differ
+    from it, and success means the prediction reaches target_class.
+    AttackSpec rejects untargeted jsma specs.
     """
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
     probs, cache = model.forward_batch(x[None], keep_cache=True)
     pred_before = int(probs[0].argmax())
-    if true_label is None:
-        true_label = pred_before
     if target_class == true_label:
         raise ValueError("jsma target_class must differ from the true label")
     budget = int(np.floor(spec.gamma * n_pixels))
@@ -209,8 +205,8 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
             flat[p] = min(1.0, flat[p] + spec.theta)
             modified[p] = True
         probs, cache = model.forward_batch(x_adv[None], keep_cache=True)
-    return _finish(model, x, x_adv, true_label, pred_before, iterations,
-                   target_class=target_class, probs_after=probs[0])
+    return _finish(x_adv, probs[0], true_label, pred_before, iterations,
+                   target_class=target_class)
 
 
 def _top_pair(alpha: np.ndarray, eligible: np.ndarray):
@@ -301,26 +297,8 @@ def _cw_optimize(model: Model, images: np.ndarray, pivots: np.ndarray,
     return x_adv, objectives
 
 
-def cw_l2(model: Model, x: np.ndarray, target_class: int,
-          spec: AttackSpec) -> AdversarialExample:
-    """L2-minimizing attack; target_class is the margin pivot.
-
-    When spec.targeted, the attack drives the prediction toward
-    target_class; otherwise target_class is interpreted as the true label
-    being pushed away from.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    pred_before = int(model.predict(x).argmax())
-    x_adv, _ = _cw_optimize(model, x[None], np.array([target_class]), spec)
-    return _finish(model, x, x_adv[0],
-                   true_label=target_class if not spec.targeted else pred_before,
-                   pred_before=pred_before,
-                   iterations=spec.iterations,
-                   target_class=target_class if spec.targeted else None)
-
-
 # ---------------------------------------------------------------------------
-# Batch generation and black-box transfer
+# Batch generation
 # ---------------------------------------------------------------------------
 
 def next_class_targets(labels: np.ndarray, num_classes: int = 10) -> np.ndarray:
@@ -353,16 +331,3 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
             perturbed[i] = ex.perturbed
     return AdversarialBatch(originals=images.copy(), perturbed=perturbed,
                             labels=labels.copy(), spec=spec.to_dict())
-
-
-def transfer_attack(substitute: Model, victim: Model, spec: AttackSpec,
-                    dataset) -> "EvalReport":
-    """Black-box setting: craft against the substitute, measure on the victim."""
-    from .evaluate import evaluate
-
-    if substitute.config.input_shape != victim.config.input_shape:
-        raise ValueError(
-            f"substitute input shape {substitute.config.input_shape} != "
-            f"victim {victim.config.input_shape}")
-    batch = generate_batch(substitute, dataset.images, dataset.labels, spec)
-    return evaluate(victim, dataset, adversarial=batch)

@@ -101,7 +101,7 @@ def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
 @click.option("--iterations", type=int, default=100, show_default=True)
 @click.option("--targeted/--untargeted", default=None,
               help="Default: targeted for jsma (which only runs targeted), "
-                   "untargeted otherwise.")
+                   "untargeted otherwise. fgsm runs untargeted only.")
 @click.option("--kappa", type=float, default=0.0, show_default=True)
 @click.option("--const", "c", type=float, default=1.0, show_default=True,
               help="C&W trade-off constant.")

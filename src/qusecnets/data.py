@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, DataError, TruncatedFileError
+from .errors import BadConfigError, BadMagicError, CountMismatchError, DataError, TruncatedFileError
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -40,7 +40,9 @@ class Dataset:
         return len(self.images)
 
     def subset(self, n: int) -> "Dataset":
-        """First n records (deterministic, no sampling)."""
+        """First n records (deterministic, no sampling); BadConfigError if n < 0."""
+        if n < 0:
+            raise BadConfigError(f"record count must be non-negative, got {n}")
         return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
 
 

@@ -366,15 +366,18 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
     """Mini-batch SGD on the configured loss; returns (model, per-epoch trace).
 
     TQ thresholds update each batch right after the weight step; CQ
-    thresholds are frozen. Raises on an empty dataset, and aborts with the
-    batch index if the loss goes non-finite.
+    thresholds are frozen. Raises on an empty dataset, BadConfigError unless
+    lr is finite and positive, batch_size >= 1 and epochs >= 0, and aborts
+    with the batch index if the loss goes non-finite.
     """
     images, labels = np.asarray(train_set.images), np.asarray(train_set.labels)
     n = images.shape[0]
     if n == 0:
         raise ValueError("training dataset is empty")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0.0 < lr < np.inf:  # NaN fails the comparison too
+        raise BadConfigError(f"learning rate must be finite and positive, got {lr!r}")
+    if batch_size < 1 or epochs < 0:
+        raise BadConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
     tq = model.quantizer is not None and model.quantizer.trainable

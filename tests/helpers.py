@@ -119,7 +119,7 @@ def saliency_pair(alpha, beta, domain):
     return None
 
 
-def reference_jsma(model, x, target_class, spec, true_label=None):
+def reference_jsma(model, x, target_class, spec, true_label):
     """JSMA-F as published: alpha and beta from the full 10-class Jacobian.
 
     Reference for attacks.jsma; same stopping rules and bookkeeping.
@@ -127,8 +127,6 @@ def reference_jsma(model, x, target_class, spec, true_label=None):
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
     pred_before = int(model.predict(x).argmax())
-    if true_label is None:
-        true_label = pred_before
     budget = int(np.floor(spec.gamma * n_pixels))
     x_adv = x.copy()
     flat = x_adv.reshape(-1)
@@ -152,7 +150,7 @@ def reference_jsma(model, x, target_class, spec, true_label=None):
         for p in pick:
             flat[p] = min(1.0, flat[p] + spec.theta)
             modified[p] = True
-    return _finish(model, x, x_adv, true_label, pred_before, iterations,
+    return _finish(x_adv, model.predict(x_adv), true_label, pred_before, iterations,
                    target_class=target_class)
 
 

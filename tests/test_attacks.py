@@ -13,22 +13,20 @@ from helpers import (
     saliency_pair,
     trained_tiny_model,
 )
+import qusecnets
+from qusecnets import attacks
 from qusecnets.attacks import (
-    AdversarialExample,
     AttackSpec,
     _cw_optimize,
     _top_pair,
-    cw_l2,
-    fgsm,
     fgsm_batch,
     fgsm_signs,
     generate_batch,
     jsma,
     next_class_targets,
-    transfer_attack,
 )
-from qusecnets.errors import BadConfigError
-from qusecnets.evaluate import CHUNK, predict_all
+from qusecnets.errors import BadConfigError, ShapeMismatchError
+from qusecnets.evaluate import CHUNK, evaluate, predict_all
 from qusecnets.model import Model, build_model, train
 
 
@@ -54,7 +52,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("field, value", [
     ("epsilon", np.nan), ("theta", 0.0), ("theta", np.inf), ("gamma", -1.0), ("gamma", 1.5),
     ("kappa", -0.5), ("kappa", np.nan), ("c", -1.0), ("c", np.inf), ("step_size", 0.0),
-    ("step_size", np.nan), ("targeted", 1), ("target_class", -1),
+    ("step_size", np.nan), ("targeted", 1), ("target_class", -1), ("target_class", 3),
 ])
 def test_spec_rejects_out_of_range_values_as_bad_config(field, value):
     with pytest.raises(BadConfigError, match=field):
@@ -69,15 +67,36 @@ def test_spec_targeted_defaults_by_kind():
         AttackSpec(kind="jsma", targeted=False)
 
 
+@pytest.mark.parametrize("field, value", [("targeted", True), ("target_class", 3)])
+def test_spec_rejects_targeted_fgsm(field, value):
+    with pytest.raises(BadConfigError, match=field):
+        AttackSpec(kind="fgsm", **{field: value})
+
+
+def test_spec_target_class_on_targeted_kinds():
+    assert AttackSpec(kind="cw_l2", targeted=True, target_class=3).target_class == 3
+    assert AttackSpec(kind="jsma", target_class=0).to_dict()["target_class"] == 0
+
+
+def test_package_exports_one_entry_per_attack():
+    names = qusecnets.__all__
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    assert all(hasattr(qusecnets, name) for name in names)
+    for gone in ("fgsm", "cw_l2", "transfer_attack"):
+        assert gone not in names
+        assert not hasattr(qusecnets, gone) and not hasattr(attacks, gone)
+
+
 # ---------------------------------------------------------------------------
 # FGSM
 # ---------------------------------------------------------------------------
 
 def test_fgsm_zero_epsilon_is_identity(victim):
     model, ds = victim
-    ex = fgsm(model, ds.images[0], int(ds.labels[0]),
-              AttackSpec(kind="fgsm", epsilon=0.0))
-    npt.assert_array_equal(ex.perturbed, ex.original)
+    batch = generate_batch(model, ds.images[:8], ds.labels[:8],
+                           AttackSpec(kind="fgsm", epsilon=0.0))
+    npt.assert_array_equal(batch.perturbed, batch.originals)
 
 
 def test_fgsm_budget_and_range(victim):
@@ -92,8 +111,8 @@ def test_fgsm_budget_and_range(victim):
 def test_fgsm_deterministic(victim):
     model, ds = victim
     spec = AttackSpec(kind="fgsm", epsilon=0.2)
-    a = fgsm(model, ds.images[1], int(ds.labels[1]), spec)
-    b = fgsm(model, ds.images[1], int(ds.labels[1]), spec)
+    a = generate_batch(model, ds.images[1:9], ds.labels[1:9], spec)
+    b = generate_batch(model, ds.images[1:9], ds.labels[1:9], spec)
     npt.assert_array_equal(a.perturbed, b.perturbed)
 
 
@@ -106,16 +125,6 @@ def test_fgsm_actually_degrades_accuracy(victim):
     adv_acc = (np.array([model.predict(x).argmax() for x in adv])
                == ds.labels[:64]).mean()
     assert adv_acc < clean_acc
-
-
-def test_fgsm_example_bookkeeping(victim):
-    model, ds = victim
-    ex = fgsm(model, ds.images[2], int(ds.labels[2]),
-              AttackSpec(kind="fgsm", epsilon=0.3))
-    assert isinstance(ex, AdversarialExample)
-    assert ex.true_label == int(ds.labels[2])
-    assert 0.0 <= ex.confidence_after <= 1.0
-    assert ex.success == (ex.predicted_label_after != ex.true_label)
 
 
 @pytest.fixture(scope="module")
@@ -317,19 +326,18 @@ def test_jsma_forwards_each_image_state_once(victim, monkeypatch):
 def test_cw_zero_iterations_is_identity(victim):
     model, ds = victim
     spec = AttackSpec(kind="cw_l2", targeted=False, iterations=0, epsilon=0.1)
-    ex = cw_l2(model, ds.images[0], int(ds.labels[0]), spec)
-    npt.assert_array_equal(ex.perturbed, ds.images[0])
+    batch = generate_batch(model, ds.images[:3], ds.labels[:3], spec)
+    npt.assert_array_equal(batch.perturbed, ds.images[:3])
 
 
 def test_cw_budget_contract(victim):
     model, ds = victim
     spec = AttackSpec(kind="cw_l2", targeted=True, iterations=40, epsilon=0.1,
                       step_size=0.05)
-    for i in range(3):
-        target = (int(ds.labels[i]) + 1) % 10
-        ex = cw_l2(model, ds.images[i], target, spec)
-        assert np.abs(ex.perturbed - ds.images[i]).max() <= 0.1 + 1e-12
-        assert ex.perturbed.min() >= 0.0 and ex.perturbed.max() <= 1.0
+    # the targets default to the next class, (label + 1) % 10
+    batch = generate_batch(model, ds.images[:3], ds.labels[:3], spec)
+    assert np.abs(batch.perturbed - ds.images[:3]).max() <= 0.1 + 1e-12
+    assert batch.perturbed.min() >= 0.0 and batch.perturbed.max() <= 1.0
 
 
 def test_cw_objective_mostly_non_increasing(victim):
@@ -346,19 +354,16 @@ def test_cw_untargeted_pushes_away_from_label(victim):
     model, ds = victim
     spec = AttackSpec(kind="cw_l2", targeted=False, iterations=80, epsilon=0.5,
                       step_size=0.05, c=5.0)
-    flipped = 0
-    for i in range(5):
-        ex = cw_l2(model, ds.images[i], int(ds.labels[i]), spec)
-        flipped += ex.predicted_label_after != int(ds.labels[i])
+    batch = generate_batch(model, ds.images[:5], ds.labels[:5], spec)
+    flipped = int((predict_all(model, batch.perturbed).argmax(axis=1) != ds.labels[:5]).sum())
     assert flipped >= 3
 
 
 def test_cw_deterministic(victim):
     model, ds = victim
     spec = AttackSpec(kind="cw_l2", targeted=True, iterations=25, epsilon=0.2)
-    target = (int(ds.labels[0]) + 1) % 10
-    a = cw_l2(model, ds.images[0], target, spec)
-    b = cw_l2(model, ds.images[0], target, spec)
+    a = generate_batch(model, ds.images[:3], ds.labels[:3], spec)
+    b = generate_batch(model, ds.images[:3], ds.labels[:3], spec)
     npt.assert_array_equal(a.perturbed, b.perturbed)
 
 
@@ -382,7 +387,7 @@ def test_cw_batch_forwards_at_most_chunk_images(victim, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# generate_batch / transfer
+# generate_batch, and black-box transfer: generate_batch on a substitute, evaluate on a victim
 # ---------------------------------------------------------------------------
 
 def test_generate_batch_fgsm_spec_echo(victim):
@@ -395,25 +400,13 @@ def test_generate_batch_fgsm_spec_echo(victim):
     assert np.abs(batch.perturbed - batch.originals).max() <= 0.2 + 1e-12
 
 
-def test_transfer_degenerate_equals_white_box(victim):
-    model, ds = victim
-    spec = AttackSpec(kind="fgsm", epsilon=0.3)
-    small = type(ds)(ds.images[:32], ds.labels[:32], ds.name, ds.split)
-    transfer = transfer_attack(model, model, spec, small)
-    white_batch = generate_batch(model, small.images, small.labels, spec)
-    from qusecnets.evaluate import evaluate
-
-    white = evaluate(model, small, adversarial=white_batch)
-    assert transfer.adv_accuracy == white.adv_accuracy
-
-
 def test_transfer_zero_epsilon_keeps_clean_accuracy(victim):
     model, ds = victim
     other = build_model(replace(TINY_CONFIG, seed=99))
     train(other, blob_dataset(seed=3), epochs=10, batch_size=32, lr=0.05, seed=1)
-    small = type(ds)(ds.images[:32], ds.labels[:32], ds.name, ds.split)
-    report = transfer_attack(other, model, AttackSpec(kind="fgsm", epsilon=0.0),
-                             small)
+    small = ds.subset(32)
+    batch = generate_batch(other, small.images, small.labels, AttackSpec(kind="fgsm", epsilon=0.0))
+    report = evaluate(model, small, adversarial=batch)
     assert report.adv_accuracy == report.clean_accuracy
 
 
@@ -421,5 +414,6 @@ def test_transfer_shape_mismatch():
     a = build_model(TINY_CONFIG)
     b = build_model(replace(TINY_CONFIG, input_shape=(9, 9, 1)))
     ds = blob_dataset(n_per_class=1)
-    with pytest.raises(ValueError, match="shape"):
-        transfer_attack(a, b, AttackSpec(kind="fgsm"), ds)
+    batch = generate_batch(a, ds.images, ds.labels, AttackSpec(kind="fgsm"))
+    with pytest.raises(ShapeMismatchError, match="shape"):
+        evaluate(b, ds, adversarial=batch)

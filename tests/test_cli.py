@@ -147,8 +147,20 @@ def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
     ["attack", "--model", "m.qsn", "--method", "jsma", "--untargeted", "--out", "a.qsa"],
     ["sweep", "--levels", "1", "--out", "s.csv"],
     ["sweep", "--epsilons", "1.5", "--out", "s.csv"],
+    ["train", "--epochs", "-1", "--out", "t.qsn"],
+    ["train", "--batch-size", "0", "--out", "t.qsn"],
+    ["train", "--lr", "0", "--out", "t.qsn"],
+    ["train", "--lr", "nan", "--out", "t.qsn"],
+    ["train", "--lr", "inf", "--out", "t.qsn"],
+    ["train", "--train-count", "-3", "--out", "t.qsn"],
+    ["attack", "--model", "m.qsn", "--method", "fgsm", "--count", "-3", "--out", "a.qsa"],
+    ["evaluate", "--model", "m.qsn", "--count", "-3"],
+    ["sweep", "--train-count", "-5", "--test-count", "-5", "--out", "s.csv"],
+    ["attack", "--model", "m.qsn", "--method", "fgsm", "--targeted", "--out", "a.qsa"],
 ], ids=["train-levels", "attack-epsilon", "jsma-gamma", "jsma-untargeted", "sweep-levels",
-        "sweep-epsilons"])
+        "sweep-epsilons", "train-epochs", "train-batch-size", "train-lr-zero", "train-lr-nan",
+        "train-lr-inf", "train-count", "attack-count", "evaluate-count", "sweep-counts",
+        "fgsm-targeted"])
 def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
     from qusecnets.model import ModelConfig, build_model
     from qusecnets.serial import save_weights
@@ -157,6 +169,26 @@ def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
                  env / "m.qsn")
     assert cli(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+    assert not (env / "t.qsn").exists() and not (env / "a.qsa").exists()
+
+
+def test_black_box_batch_on_a_victim_of_another_shape_exits_2(env, capsys):
+    """Transfer is attack on a substitute, then evaluate --inputs on the victim."""
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import save_weights
+
+    for name, shape in (("sub.qsn", (28, 28, 1)), ("victim.qsn", (32, 32, 3))):
+        save_weights(build_model(ModelConfig(input_shape=shape,
+                                             architecture=(("conv", 2, 5), ("dense", 10)))),
+                     env / name)
+    assert cli(["attack", "--model", "sub.qsn", "--method", "fgsm", "--count", "4",
+                "--out", "a.qsa"]) == 0
+    argv = ["evaluate", "--model", "victim.qsn", "--inputs", "a.qsa"]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "shape" in err and "Traceback" not in err
     entry = _run_log(env)[-1]
     assert (entry["argv"], entry["status"]) == (argv, 2)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qusecnets.data import Dataset, _read_idx_images, _read_idx_labels, load_cifar10, load_mnist
 from qusecnets.errors import (
+    BadConfigError,
     BadMagicError,
     CountMismatchError,
     DataError,
@@ -270,3 +271,10 @@ def test_dataset_subset_and_validation():
         Dataset(images, labels[:3], "mnist", "train")
     with pytest.raises(DataError):
         Dataset(images[:0], labels[:0], "mnist", "train")
+
+
+@pytest.mark.parametrize("n", [-1, -3, -4, -5])
+def test_subset_rejects_negative_count_as_bad_config(n):
+    ds = Dataset(np.zeros((4, 2, 2, 1)), np.array([0, 1, 2, 3]), "mnist", "train")
+    with pytest.raises(BadConfigError, match="count"):
+        ds.subset(n)

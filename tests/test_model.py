@@ -6,7 +6,7 @@ import pytest
 
 from helpers import TINY_CONFIG, blob_dataset, max_rel_err
 from qusecnets import nn
-from qusecnets.errors import ShapeMismatchError
+from qusecnets.errors import BadConfigError, ShapeMismatchError
 from qusecnets.model import ModelConfig, build_model, train
 from qusecnets.quantize import quantize
 
@@ -339,6 +339,19 @@ def test_train_rejects_empty_and_bad_lr():
         train(model, empty, epochs=1)
     with pytest.raises(ValueError, match="learning rate"):
         train(model, ds, epochs=1, lr=0.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"lr": 0.0}, "learning rate"), ({"lr": -0.1}, "learning rate"),
+    ({"lr": np.nan}, "learning rate"), ({"lr": np.inf}, "learning rate"),
+    ({"batch_size": 0}, "batch_size"), ({"epochs": -1}, "epochs"),
+])
+def test_train_rejects_out_of_range_options_as_bad_config(kwargs, field):
+    model = build_model(TINY_CONFIG)
+    before = {name: p.copy() for name, p in model.params.items()}
+    with pytest.raises(BadConfigError, match=field):
+        train(model, blob_dataset(n_per_class=1), **{"epochs": 1, **kwargs})
+    assert all(np.array_equal(p, before[name]) for name, p in model.params.items())
 
 
 def test_train_aborts_on_nan_loss_naming_batch():

@@ -32,8 +32,8 @@ class AttackSpec:
 
     targeted defaults to True for jsma, which only runs targeted, and to
     False otherwise; fgsm runs untargeted only. target_class applies only
-    to a targeted spec. Out-of-range values and these mismatches raise
-    BadConfigError.
+    to a targeted spec. Wrongly typed or out-of-range values and these
+    mismatches raise BadConfigError.
     """
 
     kind: str
@@ -54,6 +54,17 @@ class AttackSpec:
             self.targeted = self.kind == "jsma"
         if type(self.targeted) is not bool:
             raise BadConfigError(f"targeted must be a bool, got {self.targeted!r}")
+        # types before ranges: a .qsa file's spec echo is rebuilt through this check
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                value = value.item()  # the Python number that json writes
+            if name == "target_class" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, types):
+                what = "an int" if types is int else "a real number"
+                raise BadConfigError(f"{name} must be {what}, got {value!r}")
+            setattr(self, name, value)
         if self.kind == "jsma" and not self.targeted:
             raise BadConfigError("jsma requires a targeted AttackSpec")
         # NaN fails every comparison, so each range test rejects it
@@ -77,6 +88,10 @@ class AttackSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+_FIELD_TYPES = {"iterations": int, "target_class": int, **dict.fromkeys(
+    ("epsilon", "kappa", "c", "theta", "gamma", "step_size"), (int, float))}
 
 
 @dataclass
@@ -175,12 +190,12 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     from it, and success means the prediction reaches target_class.
     AttackSpec rejects untargeted jsma specs.
     """
+    if target_class == true_label:
+        raise BadConfigError("jsma target_class must differ from the true label")
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
     probs, cache = model.forward_batch(x[None], keep_cache=True)
     pred_before = int(probs[0].argmax())
-    if target_class == true_label:
-        raise ValueError("jsma target_class must differ from the true label")
     budget = int(np.floor(spec.gamma * n_pixels))
     x_adv = x.copy()
     flat = x_adv.reshape(-1)
@@ -193,7 +208,7 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
         if int(probs[0].argmax()) == target_class:
             break
         _, alpha = model.backward_batch(cache, nn.softmax_backward_batch(probs, d_probs),
-                                        need_param_grads=False, need_input_grad=True)
+                                        need_input_grad=True)
         pick = _top_pair(alpha.reshape(-1), flat < 1.0)  # saturated pixels leave
         if pick is None:
             break
@@ -285,9 +300,7 @@ def _cw_optimize(model: Model, images: np.ndarray, pivots: np.ndarray,
         sgn = 1.0 if spec.targeted else -1.0
         d_logits[rows[active], best_other[active]] = sgn * spec.c
         d_logits[rows[active], pivots[active]] = -sgn * spec.c
-        _, d_model = model.backward_batch(cache, d_logits,
-                                          need_param_grads=False,
-                                          need_input_grad=True)
+        _, d_model = model.backward_batch(cache, d_logits, need_input_grad=True)
         d_x = 2.0 * delta + d_model
         d_w = d_x * 0.5 * (1.0 - np.tanh(w) ** 2)
         w = np.clip(w - spec.step_size * d_w, w_lo, w_hi)
@@ -308,9 +321,14 @@ def next_class_targets(labels: np.ndarray, num_classes: int = 10) -> np.ndarray:
 
 def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
                    spec: AttackSpec) -> AdversarialBatch:
-    """Attack a whole set of images and package the result for evaluation."""
+    """Attack a whole set of images and package the result for evaluation.
+
+    BadConfigError, before any pass, if spec.target_class equals a label.
+    """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
+    if spec.target_class is not None and np.any(labels == spec.target_class):
+        raise BadConfigError(f"target_class {spec.target_class} equals an image's label")
     targets = (np.full(len(labels), spec.target_class) if spec.target_class is not None
                else next_class_targets(labels, model.num_classes))
     if spec.kind == "fgsm":

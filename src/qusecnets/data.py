@@ -6,6 +6,7 @@ root defaults to $QSN_DATA_DIR, with one subdirectory per dataset name.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -56,44 +57,36 @@ def _resolve_dir(data_dir, name: str) -> Path:
     return Path(root) / name
 
 
-def _read_idx_images(path: Path) -> np.ndarray:
+def _read_idx(path: Path, magic: int) -> np.ndarray:
+    """An IDX file's uint8 payload in its header's shape; the magic's low byte is the rank."""
     data = path.read_bytes()
     if len(data) < 4:
         raise TruncatedFileError(f"{path}: header truncated")
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(
-            f"{path}: bad magic {magic}, expected {IDX_IMAGE_MAGIC} for images")
-    if len(data) < 16:
+    found = struct.unpack(">I", data[:4])[0]
+    if found != magic:
+        raise BadMagicError(f"{path}: bad magic {found}, expected {magic}")
+    rank = magic & 0xFF  # 3 for images (count, rows, cols), 1 for labels (count,)
+    header = 4 + 4 * rank
+    if len(data) < header:
         raise TruncatedFileError(f"{path}: header truncated")
     # unsigned: a negative count would make frombuffer read the whole payload
-    count, rows, cols = struct.unpack(">III", data[4:16])
-    if count * rows * cols == 0:  # numpy cannot shape an empty array around huge extents
-        raise DataError(f"{path}: header declares no pixels ({count}x{rows}x{cols})")
-    expected = 16 + count * rows * cols
-    if len(data) < expected:
+    shape = struct.unpack(f">{rank}I", data[4:header])
+    size = math.prod(shape)
+    if size == 0:  # numpy cannot shape an empty array around huge extents
+        raise DataError(f"{path}: header declares no records ({'x'.join(map(str, shape))})")
+    if len(data) < header + size:
         raise TruncatedFileError(
-            f"{path}: payload truncated ({len(data)} bytes, need {expected})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows, cols, 1).astype(np.float64) / 255.0
+            f"{path}: payload truncated ({len(data)} bytes, need {header + size})")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
+
+
+def _read_idx_images(path: Path) -> np.ndarray:
+    return _read_idx(path, IDX_IMAGE_MAGIC)[..., None].astype(np.float64) / 255.0
 
 
 def _read_idx_labels(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    if len(data) < 4:
-        raise TruncatedFileError(f"{path}: header truncated")
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagicError(
-            f"{path}: bad magic {magic}, expected {IDX_LABEL_MAGIC} for labels")
-    if len(data) < 8:
-        raise TruncatedFileError(f"{path}: header truncated")
-    count = struct.unpack(">I", data[4:8])[0]
-    if len(data) < 8 + count:
-        raise TruncatedFileError(
-            f"{path}: payload truncated ({len(data)} bytes, need {8 + count})")
-    labels = np.frombuffer(data, dtype=np.uint8, count=count, offset=8).astype(np.int64)
-    if labels.max(initial=0) > 9:
+    labels = _read_idx(path, IDX_LABEL_MAGIC).astype(np.int64)
+    if labels.max() > 9:
         raise DataError(f"{path}: label {labels.max()} out of range 0..9")
     return labels
 
@@ -102,12 +95,8 @@ def load_mnist(data_dir=None, split: str = "train") -> Dataset:
     """Parse the standard big-endian IDX pair for one split."""
     d = _resolve_dir(data_dir, "mnist")
     prefix = "train" if split == "train" else "t10k"
-    images = _read_idx_images(d / f"{prefix}-images-idx3-ubyte")
-    labels = _read_idx_labels(d / f"{prefix}-labels-idx1-ubyte")
-    if len(images) != len(labels):
-        raise CountMismatchError(
-            f"{d}: {len(images)} images but {len(labels)} labels")
-    return Dataset(images, labels, "mnist", split)
+    return Dataset(_read_idx_images(d / f"{prefix}-images-idx3-ubyte"),
+                   _read_idx_labels(d / f"{prefix}-labels-idx1-ubyte"), "mnist", split)
 
 
 def load_cifar10(data_dir=None, split: str = "train") -> Dataset:

@@ -97,9 +97,7 @@ def predict_all(model: Model, images: np.ndarray) -> np.ndarray:
 
 def _accuracy_bits(probs: np.ndarray, labels: np.ndarray):
     preds = probs.argmax(axis=1)
-    correct = preds == labels
-    conf = probs[np.arange(len(probs)), preds]
-    return preds, correct, conf
+    return preds == labels, probs[np.arange(len(probs)), preds]
 
 
 def _check_labels(labels, num_classes: int):
@@ -130,13 +128,13 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
     elif clean_probs.shape != (len(dataset), model.num_classes):
         raise ShapeMismatchError(
             f"clean_probs shape {clean_probs.shape} != {(len(dataset), model.num_classes)}")
-    _, correct_clean, conf_clean = _accuracy_bits(clean_probs, dataset.labels)
+    correct_clean, conf_clean = _accuracy_bits(clean_probs, dataset.labels)
     clean_accuracy = float(correct_clean.mean())
 
     adv_accuracy = l2_mean = linf_max = l0_mean = None
     if adversarial is not None:
         probs_adv = predict_all(model, adversarial.perturbed)
-        _, correct, conf = _accuracy_bits(probs_adv, adversarial.labels)
+        correct, conf = _accuracy_bits(probs_adv, adversarial.labels)
         adv_accuracy = float(correct.mean())
         l2_mean, linf_max, l0_mean = perturbation_stats(
             adversarial.originals, adversarial.perturbed)

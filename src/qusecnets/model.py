@@ -35,6 +35,8 @@ DEFAULT_ARCHITECTURE = (
 )
 
 DEFENSES = ("none", "cq", "tq")
+# both loaders give 8-bit pixels: past 256 levels no further input values separate
+MAX_LEVELS = 256
 LOSSES = ("mse", "cross_entropy")
 
 
@@ -175,8 +177,9 @@ class ModelConfig:
             raise TypeError(
                 f"per_pixel_thresholds must be a bool, got {self.per_pixel_thresholds!r}")
         if self.defense != "none":
-            if self.levels < 2:
-                raise BadConfigError("defended config needs levels >= 2")
+            if not 2 <= self.levels <= MAX_LEVELS:
+                raise BadConfigError(
+                    f"defended config needs 2 <= levels <= {MAX_LEVELS}, got {self.levels}")
             if not 0 < self.steepness < math.inf:
                 raise BadConfigError("defended config needs a finite steepness > 0")
         if self.seed < 0:
@@ -215,9 +218,6 @@ class Model:
     def num_classes(self) -> int:
         return self.config.architecture[-1][1]
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     # -- forward ------------------------------------------------------------
 
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
@@ -241,32 +241,28 @@ class Model:
 
     # -- backward -----------------------------------------------------------
 
-    def backward_batch(self, cache: dict, d_logits: np.ndarray,
-                       need_param_grads: bool = True,
-                       need_input_grad: bool = False):
-        """Backprop d cost/d logits through the stack.
+    def backward_batch(self, cache: dict, d_logits: np.ndarray, need_input_grad: bool = False):
+        """Backprop d cost/d logits through the stack, in one of two passes.
 
-        Returns (param_grads, d_raw_input). d_raw_input includes the chain
-        through the quantizer and is None unless requested; param_grads maps
-        the same names as self.params.
+        A training pass returns (param_grads, None): param_grads maps the
+        same names as self.params, and on a TQ model cache["quantizer_delta"]
+        holds d cost/d quantizer-output for update_thresholds. An
+        input-gradient pass (need_input_grad=True) computes no parameter
+        gradient and returns (None, d_raw_input), chained through the quantizer.
         """
-        grads = {}
+        grads = None if need_input_grad else {}
         want_bottom_delta = need_input_grad or (
             self.quantizer is not None and self.quantizer.trainable)
         d = d_logits
         for i in range(len(self.layers) - 1, -1, -1):
-            d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool,
-                                        grads if need_param_grads else None,
+            d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, grads,
                                         need_input=i > 0 or want_bottom_delta)
-        d_raw = None
-        if want_bottom_delta:
-            cache["quantizer_delta"] = d  # d cost / d quantizer-output
-        if need_input_grad:
-            if self.quantizer is not None:
-                d_raw = d * quantize_grad_input(cache["raw_input"], self.quantizer)
-            else:
-                d_raw = d.copy()  # detach from the scratch pool
-        return grads, d_raw
+        if not need_input_grad:
+            cache["quantizer_delta"] = d  # d cost / d quantizer-output; None unless TQ
+            return grads, None
+        if self.quantizer is not None:
+            return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
+        return None, d.copy()  # detach from the scratch pool
 
     def loss_and_grad_batch(self, probs: np.ndarray, labels: np.ndarray):
         """Mean loss over the batch plus d loss/d logits (via the softmax Jacobian)."""
@@ -289,8 +285,7 @@ class Model:
         """
         probs, cache = self.forward_batch(x, keep_cache=True)
         _, d_logits = self.loss_and_grad_batch(probs, labels)
-        _, d_raw = self.backward_batch(cache, d_logits,
-                                       need_param_grads=False, need_input_grad=True)
+        _, d_raw = self.backward_batch(cache, d_logits, need_input_grad=True)
         return probs, d_raw
 
     def probability_jacobian(self, image: np.ndarray) -> np.ndarray:
@@ -304,8 +299,7 @@ class Model:
         probs, cache = self.forward_batch(tiled, keep_cache=True)
         upstream_probs = np.eye(c)
         d_logits = nn.softmax_backward_batch(probs, upstream_probs)
-        _, d_raw = self.backward_batch(cache, d_logits,
-                                       need_param_grads=False, need_input_grad=True)
+        _, d_raw = self.backward_batch(cache, d_logits, need_input_grad=True)
         return d_raw
 
 
@@ -395,7 +389,7 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
                     f"non-finite loss {loss} at epoch {epoch} batch {bi}")
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == yb).sum())
-            grads, _ = model.backward_batch(cache, d_logits, need_param_grads=True)
+            grads, _ = model.backward_batch(cache, d_logits)
             for pname, g in grads.items():
                 model.params[pname] = nn.sgd_update(model.params[pname], g, lr)
             if tq:

@@ -6,11 +6,12 @@ the cost w.r.t. its input and parameters, given the upstream gradient
 w.r.t. its output. Ops are pure functions, and each formula exists once.
 The model calls conv_forward_batch/conv_backward_batch, dense (only
 backprop_delta on input-gradient passes), softmax_batch,
-softmax_backward_batch and mse_cost; conv2d and softmax are their
-single-image and single-vector forms. Two ops only serve as references:
-the conv layer fuses its ReLU (relu's mask, applied in place), and the
-cross-entropy loss goes to d logits in closed form (cross_entropy is its
-d/dP).
+softmax_backward_batch and mse_cost, and sgd_update steps both its
+weights and, through quantize.update_thresholds, the TQ thresholds.
+conv2d and softmax are the single-image and single-vector forms. Two ops
+only serve as references: the conv layer fuses its ReLU (relu's mask,
+applied in place), and the cross-entropy loss goes to d logits in closed
+form (cross_entropy is its d/dP).
 
 The batched conv copies its input k times (one width shift per kernel
 column) into a row-patch matrix and runs one GEMM per kernel row over a

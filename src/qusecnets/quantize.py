@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
+
 CONSTANT = "constant"
 TRAINABLE = "trainable"
 
@@ -121,13 +123,12 @@ def threshold_gradients(q: Quantizer, d_cost_dy: np.ndarray, x: np.ndarray) -> n
 def update_thresholds(q: Quantizer, d_cost_dy, x, lr: float) -> Quantizer:
     """One backprop step on the thresholds, clamped to [0,1]. Mutates q.
 
-    Rejected on constant-mode quantizers; those must stay bit-identical
-    through training.
+    The step is nn.sgd_update, the one the weights take, so a non-positive
+    lr raises its ValueError. Rejected on constant-mode quantizers; those
+    must stay bit-identical through training.
     """
     if not q.trainable:
         raise ValueError("update_thresholds called on a constant-mode quantizer")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
     grad = threshold_gradients(q, np.asarray(d_cost_dy), np.asarray(x))
-    q.thresholds = np.clip(q.thresholds - lr * grad, 0.0, 1.0)
+    q.thresholds = np.clip(nn.sgd_update(q.thresholds, grad, lr), 0.0, 1.0)
     return q

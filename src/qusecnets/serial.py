@@ -165,13 +165,10 @@ def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
 
 
 def load_adversarial_batch(path) -> AdversarialBatch:
+    """Read a QSA1 file; its spec echo is rebuilt through AttackSpec, so it comes back complete."""
+    from .attacks import AttackSpec  # attacks imports this module
+
     config_text, tensors = read_container(path, ADVERSARIAL_MAGIC)
-    try:
-        spec = json.loads(config_text)
-    except ValueError as e:
-        raise BadConfigError(f"{path}: attack spec is not valid JSON: {e}") from e
-    if not isinstance(spec, dict):
-        raise BadConfigError(f"{path}: attack spec is not a JSON object")
     for key in ("originals", "perturbed", "labels"):
         if key not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {key!r}")
@@ -181,6 +178,11 @@ def load_adversarial_batch(path) -> AdversarialBatch:
     # NaN fails every comparison; the bound keeps the int64 cast exact
     if not np.all((labels >= 0) & (labels < 2.0 ** 63) & (labels == np.floor(labels))):
         raise BadConfigError(f"{path}: labels must be finite non-negative integers")
+    try:
+        spec = AttackSpec(**json.loads(config_text)).to_dict()
+    # ValueError: not JSON, or a bad value; TypeError: not an object, no kind, an unknown key
+    except (ValueError, TypeError) as e:
+        raise BadConfigError(f"{path}: invalid attack spec: {e}") from e
     return AdversarialBatch(
         originals=tensors["originals"],
         perturbed=tensors["perturbed"],

@@ -177,8 +177,7 @@ def reference_fgsm_batch(model, images, labels, epsilon, chunk=64):
         yb = labels[start:start + chunk]
         probs, cache = model.forward_batch(xb, keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, yb)
-        _, grad = model.backward_batch(cache, d_logits,
-                                       need_param_grads=False, need_input_grad=True)
+        _, grad = model.backward_batch(cache, d_logits, need_input_grad=True)
         out[start:start + chunk] = np.clip(xb + epsilon * np.sign(grad), 0.0, 1.0)
     return out
 
@@ -200,11 +199,10 @@ class PassCounter:
             counter.forward_images += len(x)
             return forward(model, x, keep_cache)
 
-        def counted_backward(model, cache, d_logits, need_param_grads=True,
-                             need_input_grad=False):
+        def counted_backward(model, cache, d_logits, need_input_grad=False):
             if need_input_grad:
                 counter.input_grad_rows += len(d_logits)
-            return backward(model, cache, d_logits, need_param_grads, need_input_grad)
+            return backward(model, cache, d_logits, need_input_grad=need_input_grad)
 
         def counted_predict(model, image):
             counter.predict_calls += 1

@@ -53,10 +53,22 @@ def test_spec_validation():
     ("epsilon", np.nan), ("theta", 0.0), ("theta", np.inf), ("gamma", -1.0), ("gamma", 1.5),
     ("kappa", -0.5), ("kappa", np.nan), ("c", -1.0), ("c", np.inf), ("step_size", 0.0),
     ("step_size", np.nan), ("targeted", 1), ("target_class", -1), ("target_class", 3),
+    # mistyped: a .qsa spec echo is rebuilt through these checks
+    ("iterations", 2.5), ("iterations", True), ("iterations", "3"), ("target_class", 1.0),
+    ("target_class", False), ("epsilon", "abc"), ("epsilon", True), ("c", None),
+    ("step_size", [0.1]),
 ])
 def test_spec_rejects_out_of_range_values_as_bad_config(field, value):
     with pytest.raises(BadConfigError, match=field):
         AttackSpec(kind="cw_l2", **{field: value})
+
+
+def test_spec_numpy_numbers_become_python_numbers():
+    spec = AttackSpec(kind="cw_l2", targeted=True, target_class=np.int64(3),
+                      iterations=np.int32(5), epsilon=np.float32(0.25))
+    d = spec.to_dict()
+    assert (type(d["target_class"]), type(d["iterations"]), type(d["epsilon"])) == (int, int, float)
+    assert (d["target_class"], d["iterations"], d["epsilon"]) == (3, 5, 0.25)
 
 
 def test_spec_targeted_defaults_by_kind():
@@ -233,6 +245,19 @@ def test_jsma_rejects_target_equal_true_label(victim):
     with pytest.raises(ValueError, match="differ"):
         jsma(model, ds.images[0], int(ds.labels[0]),
              AttackSpec(kind="jsma", targeted=True), true_label=int(ds.labels[0]))
+
+
+@pytest.mark.parametrize("kind", ["jsma", "cw_l2"])
+def test_target_equal_to_a_label_fails_before_any_pass(victim, monkeypatch, kind):
+    model, ds = victim
+    counter = PassCounter(monkeypatch)
+    spec = AttackSpec(kind=kind, targeted=True, target_class=int(ds.labels[5]))
+    with pytest.raises(BadConfigError, match="target_class"):
+        generate_batch(model, ds.images[:8], ds.labels[:8], spec)
+    with pytest.raises(BadConfigError, match="differ"):
+        jsma(model, ds.images[5], spec.target_class, AttackSpec(kind="jsma"),
+             true_label=int(ds.labels[5]))
+    assert counter.forward_images == 0 and counter.input_grad_rows == 0
 
 
 def test_probability_gradients_sum_to_rounding_level(victim):

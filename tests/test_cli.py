@@ -157,10 +157,12 @@ def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
     ["evaluate", "--model", "m.qsn", "--count", "-3"],
     ["sweep", "--train-count", "-5", "--test-count", "-5", "--out", "s.csv"],
     ["attack", "--model", "m.qsn", "--method", "fgsm", "--targeted", "--out", "a.qsa"],
+    ["train", "--defense", "cq", "--levels", "1000000000000", "--out", "t.qsn"],
+    ["sweep", "--levels", "1000000000000", "--out", "s.csv"],
 ], ids=["train-levels", "attack-epsilon", "jsma-gamma", "jsma-untargeted", "sweep-levels",
         "sweep-epsilons", "train-epochs", "train-batch-size", "train-lr-zero", "train-lr-nan",
         "train-lr-inf", "train-count", "attack-count", "evaluate-count", "sweep-counts",
-        "fgsm-targeted"])
+        "fgsm-targeted", "train-levels-huge", "sweep-levels-huge"])
 def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
     from qusecnets.model import ModelConfig, build_model
     from qusecnets.serial import save_weights
@@ -238,6 +240,27 @@ def test_adversarial_labels_past_the_classes_exit_2(env, capsys):
                            env / "adv.qsa")
     assert cli(["evaluate", "--model", str(env / "m.qsn"), "--inputs", str(env / "adv.qsa")]) == 2
     assert "labels must lie in [0, 10)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"epsilon":"abc","kind":"fgsm"}', "{}", '{"bogus":1,"kind":"fgsm"}',
+], ids=["mistyped-epsilon", "empty", "unknown-key"])
+def test_adversarial_spec_echo_checked_on_load(env, capsys, spec):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import save_weights, write_container
+
+    save_weights(build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10)))),
+                 env / "m.qsn")
+    images = np.zeros((2, 28, 28, 1))
+    write_container(env / "adv.qsa", b"QSA1", spec,
+                    {"originals": images, "perturbed": images, "labels": np.array([1.0, 2.0])})
+    argv = ["evaluate", "--model", "m.qsn", "--inputs", "adv.qsa", "--report", "r.json"]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "attack spec" in err and "Traceback" not in err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+    assert not (env / "r.json").exists()
 
 
 VALID_REPORT = {

@@ -70,6 +70,17 @@ def test_mnist_label_magic_in_image_file(mnist_fixture_dir):
         load_mnist(d, split="train")
 
 
+@pytest.mark.parametrize("read, magic", [
+    (_read_idx_images, 2049), (_read_idx_images, 2050), (_read_idx_labels, 2051),
+    (_read_idx_labels, 2050), (_read_idx_labels, 0x0C01),
+], ids=["images-rank-1", "images-rank-2", "labels-rank-3", "labels-rank-2", "labels-type-byte"])
+def test_idx_magic_of_another_rank_or_type(tmp_path, read, magic):
+    path = tmp_path / "idx"
+    path.write_bytes(struct.pack(">IIII", magic, 1, 1, 1) + bytes(4))
+    with pytest.raises(BadMagicError, match=f"bad magic {magic}"):
+        read(path)
+
+
 def test_mnist_count_mismatch(mnist_fixture_dir):
     d, _, _ = mnist_fixture_dir
     write_idx_labels(d / "train-labels-idx1-ubyte", [1, 2])

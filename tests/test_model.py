@@ -36,7 +36,7 @@ def ramp_image():
 
 def test_default_parameter_count():
     model = build_model(ModelConfig(seed=0))
-    assert model.parameter_count() == DEFAULT_PARAM_COUNT
+    assert sum(p.size for p in model.params.values()) == DEFAULT_PARAM_COUNT
 
 
 def test_same_seed_bit_identical_weights():
@@ -97,6 +97,14 @@ def test_config_range_checks_only_for_defended():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="steepness"):
             ModelConfig(defense="cq", steepness=bad)
+
+
+@pytest.mark.parametrize("defense", ["cq", "tq"])
+def test_defended_levels_stop_at_the_pixel_values(defense):
+    assert ModelConfig(defense=defense, levels=256).levels == 256
+    for levels in (257, 10 ** 12):  # 10^12 thresholds would be 7.28 TiB
+        with pytest.raises(BadConfigError, match="levels"):
+            ModelConfig(defense=defense, levels=levels)
 
 
 MISTYPED_CONFIGS = [
@@ -267,6 +275,20 @@ def test_param_gradients_match_finite_differences():
                 flat[i] = orig
                 fdflat[i] = (up - down) / (2 * h)
             assert max_rel_err(grads[name], fd, floor=1e-3) < 1e-4, (stack, name)
+
+
+@pytest.mark.parametrize("defense", ["none", "cq", "tq"])
+def test_backward_batch_runs_one_of_two_passes(defense):
+    model = build_model(replace(TINY_CONFIG, defense=defense, levels=3, steepness=5.0))
+    x = np.random.default_rng(4).random((3, 8, 8, 1))
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    _, d_logits = model.loss_and_grad_batch(probs, np.array([0, 1, 2]))
+    grads, d_raw = model.backward_batch(cache, d_logits)
+    assert d_raw is None and grads.keys() == model.params.keys()
+    assert (cache["quantizer_delta"] is not None) == (defense == "tq")
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    grads, d_raw = model.backward_batch(cache, d_logits, need_input_grad=True)
+    assert grads is None and d_raw.shape == x.shape
 
 
 def test_probability_jacobian_matches_per_class_fd():

@@ -266,6 +266,14 @@ def test_update_rejects_constant_mode():
         update_thresholds(q, np.array([1.0]), np.array([0.5]), 0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+def test_update_rejects_non_positive_lr_through_sgd_update(lr):
+    q = Quantizer(2, 5.0, np.array([0.5]), mode="trainable")
+    with pytest.raises(ValueError, match="learning rate"):
+        update_thresholds(q, np.array([1.0]), np.array([0.5]), lr)
+    npt.assert_array_equal(q.thresholds, [0.5])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1), st.floats(0.001, 10.0))
 def test_update_keeps_thresholds_in_unit_interval(n, seed, lr):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .errors import BadConfigError
+from .errors import BadConfigError, DivergedError
 from .evaluate import CHUNK
 from .model import Model
 from .serial import AdversarialBatch
@@ -108,20 +108,16 @@ class AdversarialExample:
 
 
 def _finish(x_adv, probs_after, true_label, pred_before, iterations,
-            target_class=None) -> AdversarialExample:
-    """Score x_adv from probs_after, the model's output on it."""
+            target_class) -> AdversarialExample:
+    """Score targeted x_adv from probs_after, the model's output on it."""
     pred_after = int(probs_after.argmax())
-    if target_class is not None:
-        success = pred_after == target_class
-    else:
-        success = pred_after != true_label
     return AdversarialExample(
         perturbed=x_adv,
         true_label=int(true_label),
         predicted_label_before=pred_before,
         predicted_label_after=pred_after,
         confidence_after=float(probs_after[pred_after]),
-        success=success,
+        success=pred_after == target_class,
         iterations_used=iterations,
     )
 
@@ -145,7 +141,7 @@ def fgsm_signs(model: Model, images: np.ndarray, labels: np.ndarray):
         stop = start + CHUNK
         chunk_probs, grad = model.input_gradient_batch(images[start:stop], labels[start:stop])
         if not np.all(np.isfinite(grad)):
-            raise RuntimeError(
+            raise DivergedError(
                 f"non-finite FGSM gradient in images {start}..{min(stop, len(images))}")
         probs[start:stop] = chunk_probs
         signs[start:stop] = np.sign(grad)
@@ -293,7 +289,7 @@ def _cw_optimize(model: Model, images: np.ndarray, pivots: np.ndarray,
         delta = x_adv - x0
         obj = (delta * delta).reshape(n, -1).sum(axis=1) + spec.c * margin
         if not np.all(np.isfinite(obj)):
-            raise RuntimeError(f"cw_l2 objective diverged at step {step}")
+            raise DivergedError(f"cw_l2 objective diverged at step {step}")
         objectives[step] = obj
         d_logits = np.zeros_like(logits)
         active = diff > -spec.kappa

@@ -10,14 +10,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import click
 
-from .attacks import AttackSpec, generate_batch
+from .attacks import ATTACK_KINDS, AttackSpec, generate_batch
 from .data import load_cifar10, load_mnist
 from .errors import BadConfigError, DataError
 from .evaluate import EvalReport, evaluate
-from .model import DEFAULT_ARCHITECTURE, ModelConfig, build_model, train
+from .model import DEFENSES, LOSSES, ModelConfig, build_model, train
 from .serial import (
     load_adversarial_batch,
     load_weights,
@@ -29,8 +30,8 @@ from .sweep import ModelCache, sweep, sweep_to_csv
 RUN_LOG_ENV = "QSN_RUN_LOG"
 DEFAULT_RUN_LOG = "qsn_runs.jsonl"
 
-INPUT_SHAPES = {"mnist": (28, 28, 1), "cifar10": (32, 32, 3)}
 LOADERS = {"mnist": load_mnist, "cifar10": load_cifar10}
+DATASETS = click.Choice(list(LOADERS))
 
 
 def _load_split(dataset, data_dir, split, count):
@@ -52,36 +53,35 @@ def group():
     """Input-quantization defense: training, attacks, and evaluation."""
 
 
+# options named after the ModelConfig / AttackSpec field they set reach the
+# command in **fields, which builds the config or spec with them
+
 @group.command(name="train")
-@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist",
-              show_default=True)
+@click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None,
               help="Dataset directory (default: $QSN_DATA_DIR/<dataset>).")
-@click.option("--defense", type=click.Choice(["none", "cq", "tq"]), default="none",
+@click.option("--defense", type=click.Choice(DEFENSES), default=ModelConfig.defense,
               show_default=True)
-@click.option("--levels", type=int, default=2, show_default=True,
+@click.option("--levels", type=int, default=ModelConfig.levels, show_default=True,
               help="Quantization level count n.")
-@click.option("--z", type=float, default=50.0, show_default=True,
-              help="Sigmoid steepness.")
-@click.option("--per-pixel-thresholds", is_flag=True, default=False,
+@click.option("--z", "steepness", type=float, default=ModelConfig.steepness,
+              show_default=True, help="Sigmoid steepness.")
+@click.option("--per-pixel-thresholds", is_flag=True,
+              default=ModelConfig.per_pixel_thresholds,
               help="One threshold vector per pixel instead of a shared one.")
-@click.option("--loss", type=click.Choice(["mse", "cross_entropy"]), default="mse",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--loss", type=click.Choice(LOSSES), default=ModelConfig.loss, show_default=True)
+@click.option("--seed", type=int, default=ModelConfig.seed, show_default=True)
 @click.option("--epochs", type=int, default=5, show_default=True)
 @click.option("--batch-size", type=int, default=64, show_default=True)
 @click.option("--lr", type=float, default=0.01, show_default=True)
 @click.option("--train-count", type=int, default=10000, show_default=True,
               help="Leading training records to use (0 = all).")
 @click.option("--out", type=click.Path(), required=True, help="Weight file to write.")
-def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
-              seed, epochs, batch_size, lr, train_count, out):
+def cmd_train(dataset, data_dir, epochs, batch_size, lr, train_count, out, **fields):
     """Train a model (optionally defended) and save its weights."""
-    config = ModelConfig(
-        input_shape=INPUT_SHAPES[dataset], defense=defense, levels=levels,
-        steepness=z, architecture=DEFAULT_ARCHITECTURE, seed=seed, loss=loss,
-        per_pixel_thresholds=per_pixel_thresholds)
+    config = ModelConfig(**fields)  # checks the options before the data loads
     train_set = _load_split(dataset, data_dir, "train", train_count)
+    config = replace(config, input_shape=train_set.images.shape[1:])
     model = build_model(config)
 
     def log(stats):
@@ -89,26 +89,25 @@ def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
                    f"accuracy {stats.accuracy:.4f}")
 
     train(model, train_set, epochs=epochs, batch_size=batch_size, lr=lr,
-          seed=seed, log=log)
+          seed=config.seed, log=log)
     save_weights(model, out)
     click.echo(f"saved weights to {out}")
 
 
 @group.command(name="attack")
 @click.option("--model", "model_path", type=click.Path(), required=True)
-@click.option("--method", type=click.Choice(["fgsm", "jsma", "cw_l2"]), required=True)
-@click.option("--epsilon", type=float, default=0.3, show_default=True)
-@click.option("--iterations", type=int, default=100, show_default=True)
-@click.option("--targeted/--untargeted", default=None,
+@click.option("--method", type=click.Choice(ATTACK_KINDS), required=True)
+@click.option("--epsilon", type=float, default=AttackSpec.epsilon, show_default=True)
+@click.option("--iterations", type=int, default=AttackSpec.iterations, show_default=True)
+@click.option("--targeted/--untargeted", default=AttackSpec.targeted,
               help="Default: targeted for jsma (which only runs targeted), "
                    "untargeted otherwise. fgsm runs untargeted only.")
-@click.option("--kappa", type=float, default=0.0, show_default=True)
-@click.option("--const", "c", type=float, default=1.0, show_default=True,
+@click.option("--kappa", type=float, default=AttackSpec.kappa, show_default=True)
+@click.option("--const", "c", type=float, default=AttackSpec.c, show_default=True,
               help="C&W trade-off constant.")
-@click.option("--theta", type=float, default=1.0, show_default=True)
-@click.option("--gamma", type=float, default=0.1, show_default=True)
-@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist",
-              show_default=True)
+@click.option("--theta", type=float, default=AttackSpec.theta, show_default=True)
+@click.option("--gamma", type=float, default=AttackSpec.gamma, show_default=True)
+@click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None)
 @click.option("--split", type=click.Choice(["train", "test"]), default="test",
               show_default=True)
@@ -116,12 +115,9 @@ def cmd_train(dataset, data_dir, defense, levels, z, per_pixel_thresholds, loss,
               help="Leading records to attack (0 = all).")
 @click.option("--out", type=click.Path(), required=True,
               help="Adversarial batch file to write.")
-def cmd_attack(model_path, method, epsilon, iterations, targeted, kappa, c,
-               theta, gamma, dataset, data_dir, split, count, out):
+def cmd_attack(model_path, method, dataset, data_dir, split, count, out, **fields):
     """Generate adversarial examples against a saved model."""
-    spec = AttackSpec(kind=method, epsilon=epsilon, iterations=iterations,
-                      targeted=targeted, kappa=kappa, c=c, theta=theta,
-                      gamma=gamma)
+    spec = AttackSpec(kind=method, **fields)
     model = load_weights(model_path)
     ds = _load_split(dataset, data_dir, split, count)
     batch = generate_batch(model, ds.images, ds.labels, spec)
@@ -133,8 +129,7 @@ def cmd_attack(model_path, method, epsilon, iterations, targeted, kappa, c,
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--inputs", type=click.Path(), default=None,
               help="Adversarial batch (.qsa); clean set is its originals.")
-@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist",
-              show_default=True)
+@click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None)
 @click.option("--split", type=click.Choice(["train", "test"]), default="test",
               show_default=True)
@@ -162,39 +157,37 @@ def cmd_evaluate(model_path, inputs, dataset, data_dir, split, count, report_pat
 
 
 @group.command(name="sweep")
-@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist",
-              show_default=True)
+@click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None)
-@click.option("--defense", type=click.Choice(["cq", "tq"]), default="cq",
-              show_default=True)
+@click.option("--defense", type=click.Choice([d for d in DEFENSES if d != "none"]),
+              default="cq", show_default=True)
 @click.option("--levels", default="2,3,4,6", show_default=True,
               help="Comma-separated level counts.")
 @click.option("--epsilons", default="0.1,0.2,0.3", show_default=True,
               help="Comma-separated epsilon values.")
-@click.option("--method", type=click.Choice(["fgsm", "jsma", "cw_l2"]),
-              default="fgsm", show_default=True)
-@click.option("--z", type=float, default=50.0, show_default=True)
-@click.option("--loss", type=click.Choice(["mse", "cross_entropy"]), default="mse",
+@click.option("--method", type=click.Choice(ATTACK_KINDS), default="fgsm", show_default=True)
+@click.option("--z", "steepness", type=float, default=ModelConfig.steepness,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--loss", type=click.Choice(LOSSES), default=ModelConfig.loss, show_default=True)
+@click.option("--seed", type=int, default=ModelConfig.seed, show_default=True)
 @click.option("--epochs", type=int, default=5, show_default=True)
 @click.option("--train-count", type=int, default=10000, show_default=True)
 @click.option("--test-count", type=int, default=1000, show_default=True)
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Reuse trained models across sweeps.")
 @click.option("--out", type=click.Path(), required=True, help="CSV to write.")
-def cmd_sweep(dataset, data_dir, defense, levels, epsilons, method, z, loss,
-              seed, epochs, train_count, test_count, cache_dir, out):
+def cmd_sweep(dataset, data_dir, levels, epsilons, method, epochs, train_count,
+              test_count, cache_dir, out, **fields):
     """Cross-product of level counts and epsilons for one attack."""
     try:
         level_list = [int(v) for v in levels.split(",") if v]
         eps_list = [float(v) for v in epsilons.split(",") if v]
     except ValueError as e:
         raise click.UsageError(f"bad --levels/--epsilons: {e}")
+    base = ModelConfig(**fields)  # checks the options before the data loads
     train_set = _load_split(dataset, data_dir, "train", train_count)
     test_set = _load_split(dataset, data_dir, "test", test_count)
-    base = ModelConfig(input_shape=INPUT_SHAPES[dataset], defense=defense,
-                       steepness=z, seed=seed, loss=loss)
+    base = replace(base, input_shape=train_set.images.shape[1:])
     result = sweep(base, level_list, eps_list, method, train_set, test_set,
                    epochs=epochs, cache=ModelCache(cache_dir))
     sweep_to_csv(result, out)

@@ -31,3 +31,10 @@ class BadConfigError(DataError, ValueError):
     Also a ValueError: ModelConfig and AttackSpec raise it for out-of-range
     values, so the CLI maps bad options to exit code 2.
     """
+
+
+class DivergedError(DataError, RuntimeError):
+    """Training or an attack reached a non-finite loss, gradient or objective.
+
+    Also a RuntimeError, so callers that catch a failed run as one still do.
+    """

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from .errors import BadConfigError, ShapeMismatchError
+from .errors import BadConfigError, DivergedError, ShapeMismatchError
 from .quantize import (
     CONSTANT,
     TRAINABLE,
@@ -119,7 +119,7 @@ class _Dense:
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
         W = params[self.name + ".W"]
         if grads is None:  # an input-gradient pass: no d_W
-            return nn.backprop_delta(d, W).reshape(cache["in_shape"]) if need_input else None
+            return nn.backprop_delta(d, W).reshape(cache["in_shape"])
         g = nn.dense(cache["input"], W, params[self.name + ".b"], upstream=d)
         grads[self.name + ".W"], grads[self.name + ".b"] = g.d_params["W"], g.d_params["b"]
         return g.d_input.reshape(cache["in_shape"]) if need_input else None
@@ -176,12 +176,11 @@ class ModelConfig:
         if type(self.per_pixel_thresholds) is not bool:
             raise TypeError(
                 f"per_pixel_thresholds must be a bool, got {self.per_pixel_thresholds!r}")
-        if self.defense != "none":
-            if not 2 <= self.levels <= MAX_LEVELS:
-                raise BadConfigError(
-                    f"defended config needs 2 <= levels <= {MAX_LEVELS}, got {self.levels}")
-            if not 0 < self.steepness < math.inf:
-                raise BadConfigError("defended config needs a finite steepness > 0")
+        # whatever the defense: the report echoes levels and steepness
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise BadConfigError(f"need 2 <= levels <= {MAX_LEVELS}, got {self.levels}")
+        if not 0 < self.steepness < math.inf:  # NaN fails the comparison too
+            raise BadConfigError(f"steepness must be finite and > 0, got {self.steepness!r}")
         if self.seed < 0:
             raise BadConfigError("seed must be a non-negative integer")
         _layers(self)  # the shape walk: raises if the architecture does not fit
@@ -361,8 +360,8 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
 
     TQ thresholds update each batch right after the weight step; CQ
     thresholds are frozen. Raises on an empty dataset, BadConfigError unless
-    lr is finite and positive, batch_size >= 1 and epochs >= 0, and aborts
-    with the batch index if the loss goes non-finite.
+    lr is finite and positive, batch_size >= 1 and epochs >= 0, and raises
+    DivergedError naming the batch if the loss goes non-finite.
     """
     images, labels = np.asarray(train_set.images), np.asarray(train_set.labels)
     n = images.shape[0]
@@ -385,8 +384,7 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
             probs, cache = model.forward_batch(xb, keep_cache=True)
             loss, d_logits = model.loss_and_grad_batch(probs, yb)
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss {loss} at epoch {epoch} batch {bi}")
+                raise DivergedError(f"non-finite loss {loss} at epoch {epoch} batch {bi}")
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == yb).sum())
             grads, _ = model.backward_batch(cache, d_logits)

@@ -45,9 +45,14 @@ def write_container(path, magic: bytes, config_text: str, tensors: dict) -> None
     # write a sibling temp file and rename it over path, so a run killed
     # mid-write never leaves a truncated container there
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(b"".join(parts))
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no temp file either
+        os.remove(tmp)
+        raise
 
 
 class _Reader:

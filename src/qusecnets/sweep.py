@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec, fgsm_signs, fgsm_step, generate_batch
-from .errors import DataError
+from .errors import BadConfigError, DataError
 from .evaluate import EvalReport, evaluate, predict_all
 from .model import Model, ModelConfig, build_model, train
 from .serial import AdversarialBatch, load_weights, save_weights
@@ -96,11 +96,12 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     Per level, FGSM takes one forward and input-gradient pass over the test
     set: its probabilities are the clean pass, and its gradient signs serve
     every epsilon. Other attacks run a clean pass, then generate_batch per
-    epsilon. Every attack spec and model config is checked before any model
-    is trained.
+    epsilon. An epsilon-0 cell whose images come back unchanged forwards
+    nothing more (evaluate reuses the clean probabilities). Every attack
+    spec and model config is checked before any model is trained.
     """
     if not levels or not epsilons:
-        raise ValueError("levels and epsilons must be non-empty")
+        raise BadConfigError("levels and epsilons must be non-empty")
     if cache is None:
         cache = ModelCache()
     specs = [AttackSpec(kind=attack_kind, epsilon=eps) for eps in epsilons]

@@ -159,10 +159,15 @@ def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
     ["attack", "--model", "m.qsn", "--method", "fgsm", "--targeted", "--out", "a.qsa"],
     ["train", "--defense", "cq", "--levels", "1000000000000", "--out", "t.qsn"],
     ["sweep", "--levels", "1000000000000", "--out", "s.csv"],
+    ["sweep", "--levels", ",", "--out", "s.csv"],
+    ["sweep", "--epsilons", ",", "--out", "s.csv"],
+    ["train", "--levels", "1", "--out", "t.qsn"],
+    ["train", "--z", "nan", "--out", "t.qsn"],
 ], ids=["train-levels", "attack-epsilon", "jsma-gamma", "jsma-untargeted", "sweep-levels",
         "sweep-epsilons", "train-epochs", "train-batch-size", "train-lr-zero", "train-lr-nan",
         "train-lr-inf", "train-count", "attack-count", "evaluate-count", "sweep-counts",
-        "fgsm-targeted", "train-levels-huge", "sweep-levels-huge"])
+        "fgsm-targeted", "train-levels-huge", "sweep-levels-huge", "sweep-levels-empty",
+        "sweep-epsilons-empty", "undefended-levels", "undefended-z-nan"])
 def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
     from qusecnets.model import ModelConfig, build_model
     from qusecnets.serial import save_weights
@@ -174,6 +179,16 @@ def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
     entry = _run_log(env)[-1]
     assert (entry["argv"], entry["status"]) == (argv, 2)
     assert not (env / "t.qsn").exists() and not (env / "a.qsa").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--levels", "1", "--data-dir", "missing", "--out", "t.qsn"],
+    ["sweep", "--z", "nan", "--data-dir", "missing", "--out", "s.csv"],
+], ids=["train", "sweep"])
+def test_bad_option_is_reported_before_the_data_loads(env, capsys, argv):
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert ("levels" in err or "steepness" in err) and "missing" not in err
 
 
 def test_black_box_batch_on_a_victim_of_another_shape_exits_2(env, capsys):
@@ -193,6 +208,45 @@ def test_black_box_batch_on_a_victim_of_another_shape_exits_2(env, capsys):
     assert "shape" in err and "Traceback" not in err
     entry = _run_log(env)[-1]
     assert (entry["argv"], entry["status"]) == (argv, 2)
+
+
+def test_divergent_training_exits_2_and_logs(env, capsys):
+    argv = ["train", "--lr", "1e300", "--batch-size", "8", "--epochs", "2", "--out", "t.qsn"]
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow on the way to NaN
+        assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "non-finite loss" in err and "Traceback" not in err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+    assert not (env / "t.qsn").exists()
+
+
+def test_failed_weight_write_leaves_no_temp_file(env, capsys):
+    (env / "out").mkdir()  # the rename over a directory fails
+    argv = ["train", "--epochs", "0", "--train-count", "8", "--out", "out"]
+    assert cli(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert _run_log(env)[-1]["status"] == 2
+    assert list(env.glob("*.tmp")) == []
+
+
+def test_cifar10_commands_take_the_input_shape_from_the_data(env, data_root):
+    from qusecnets.serial import load_weights
+
+    d = data_root / "cifar10"
+    d.mkdir()
+    records = np.random.default_rng(1).integers(0, 256, (8, 3073)).astype(np.uint8)
+    records[:, 0] %= 10  # the label byte
+    (d / "data_batch_1.bin").write_bytes(records.tobytes())
+    (d / "test_batch.bin").write_bytes(records[:4].tobytes())
+    assert cli(["train", "--dataset", "cifar10", "--defense", "cq", "--epochs", "1",
+                "--batch-size", "4", "--out", "c.qsn"]) == 0
+    assert load_weights(env / "c.qsn").config.input_shape == (32, 32, 3)
+    assert cli(["evaluate", "--model", "c.qsn", "--dataset", "cifar10", "--count", "0",
+                "--report", "r.json"]) == 0
+    validate(json.loads((env / "r.json").read_text()), SCHEMA)
+    assert cli(["sweep", "--dataset", "cifar10", "--levels", "2", "--epsilons", "0.1",
+                "--epochs", "1", "--out", "s.csv"]) == 0
 
 
 def test_missing_model_file_exits_2(env):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from jsonschema import validate
 
 from helpers import TINY_CONFIG, blob_dataset, trained_tiny_model
-from qusecnets.attacks import AttackSpec, generate_batch
-from qusecnets.errors import DataError, ShapeMismatchError
+from qusecnets.attacks import ATTACK_KINDS, AttackSpec, generate_batch
+from qusecnets.errors import BadConfigError, DataError, ShapeMismatchError
 from qusecnets.evaluate import EvalReport, evaluate, perturbation_stats, predict_all
-from qusecnets.model import build_model
+from qusecnets.model import DEFENSES, LOSSES, MAX_LEVELS, build_model
 from qusecnets.serial import AdversarialBatch
 
 SCHEMA = json.loads(
@@ -111,6 +112,29 @@ def test_evaluate_clean_report_schema():
     model, ds = trained_tiny_model()
     report = evaluate(model, ds)
     validate(json.loads(report.to_json()), SCHEMA)
+
+
+def test_schema_enums_are_the_code_choices():
+    config = SCHEMA["properties"]["config"]["properties"]
+    assert config["defense"]["enum"] == list(DEFENSES)
+    assert config["loss"]["enum"] == list(LOSSES)
+    assert config["attack"]["properties"]["kind"]["enum"] == list(ATTACK_KINDS)
+
+
+@pytest.mark.parametrize("defense", DEFENSES)
+def test_every_accepted_config_reports_within_the_schema(defense):
+    ds = blob_dataset(n_per_class=2)
+    for overrides in (dict(levels=1), dict(levels=2), dict(levels=MAX_LEVELS),
+                      dict(steepness=float("nan")), dict(steepness=0.5)):
+        try:
+            model = build_model(replace(TINY_CONFIG, defense=defense, **overrides))
+        except BadConfigError:
+            continue
+        batch = generate_batch(model, ds.images, ds.labels, AttackSpec(kind="fgsm", epsilon=0.1))
+        for report in (evaluate(model, ds), evaluate(model, ds, adversarial=batch)):
+            text = report.to_json()
+            assert "NaN" not in text, overrides
+            validate(json.loads(text), SCHEMA)
 
 
 def test_evaluate_accuracy_is_shuffle_invariant():

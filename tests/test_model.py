@@ -90,8 +90,11 @@ def test_config_types_checked_whatever_the_defense(defense, overrides):
         ModelConfig(defense=defense, **overrides)
 
 
-def test_config_range_checks_only_for_defended():
-    ModelConfig(defense="none", levels=1, steepness=0.0)
+def test_config_range_checks_hold_whatever_the_defense():
+    # the report echoes levels and steepness, and its schema needs levels >= 2
+    for field, bad in [("levels", 1), ("steepness", 0.0), ("steepness", float("nan"))]:
+        with pytest.raises(BadConfigError, match=field):
+            ModelConfig(defense="none", **{field: bad})
     # an int is a real number, and echoes like the equal float
     assert ModelConfig(steepness=50).canonical_text() == ModelConfig(steepness=50.0).canonical_text()
     for bad in (float("nan"), float("inf")):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -52,6 +53,13 @@ def test_save_load_save_byte_identical(tmp_path, tq_model):
     save_weights(tq_model, p1)
     save_weights(load_weights(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, tq_model):
+    (tmp_path / "m.qsn").mkdir()
+    with pytest.raises(OSError):
+        save_weights(tq_model, tmp_path / "m.qsn")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.qsn"]
 
 
 def test_bad_magic(tmp_path, tq_model):
@@ -214,6 +222,16 @@ def test_batch_shape_validation():
 
 def _config_dict():
     return json.loads(TINY_CONFIG.canonical_text())
+
+
+@pytest.mark.parametrize("field, value", [("levels", 1), ("steepness", 0.0)])
+def test_undefended_file_outside_the_range_rule_is_rejected(tmp_path, field, value):
+    """Earlier versions wrote such files for defense "none"; they no longer load."""
+    path = tmp_path / "m.qsn"
+    text = json.dumps({**_config_dict(), "defense": "none", field: value})
+    write_container(path, b"QSN1", text, dict(build_model(TINY_CONFIG).params))
+    with pytest.raises(BadConfigError, match=f"{re.escape(str(path))}: invalid model config"):
+        load_weights(path)
 
 
 @pytest.mark.parametrize("text", [

@@ -149,15 +149,10 @@ def fgsm_signs(model: Model, images: np.ndarray, labels: np.ndarray):
 
 
 def fgsm_step(images: np.ndarray, signs: np.ndarray, epsilon: float) -> np.ndarray:
-    """x + epsilon * signs, clamped to [0,1], written over `signs` and returned.
-
-    In place, so a batch holds no array besides the signs it was given;
-    pass a copy to keep the signs for another epsilon.
-    """
-    signs *= epsilon
-    signs += images
-    np.clip(signs, 0.0, 1.0, out=signs)
-    return signs
+    """x + epsilon * signs, clamped to [0,1], as a new array."""
+    out = signs * epsilon
+    out += images
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def fgsm_batch(model: Model, images: np.ndarray, labels: np.ndarray,
@@ -344,4 +339,4 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
                       true_label=int(labels[i]))
             perturbed[i] = ex.perturbed
     return AdversarialBatch(originals=images.copy(), perturbed=perturbed,
-                            labels=labels.copy(), spec=spec.to_dict())
+                            labels=labels.copy(), spec=spec)

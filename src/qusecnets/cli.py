@@ -189,7 +189,7 @@ def cmd_sweep(dataset, data_dir, levels, epsilons, method, epochs, train_count,
     test_set = _load_split(dataset, data_dir, "test", test_count)
     base = replace(base, input_shape=train_set.images.shape[1:])
     result = sweep(base, level_list, eps_list, method, train_set, test_set,
-                   epochs=epochs, cache=ModelCache(cache_dir))
+                   epochs=epochs, train_seed=base.seed, cache=ModelCache(cache_dir))
     sweep_to_csv(result, out)
     click.echo(f"wrote {len(result.rows)} rows to {out}; "
                f"recommended levels: {result.recommended_levels}")

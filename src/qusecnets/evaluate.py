@@ -139,11 +139,9 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
         l2_mean, linf_max, l0_mean = perturbation_stats(
             adversarial.originals, adversarial.perturbed)
         labels = adversarial.labels
-        eps = adversarial.spec.get("epsilon")
-        if adversarial.spec.get("kind") in ("fgsm", "cw_l2") and eps is not None:
-            if linf_max > eps + 1e-12:
-                raise DataError(
-                    f"perturbation linf {linf_max} exceeds declared budget {eps}")
+        spec = adversarial.spec
+        if spec.kind in ("fgsm", "cw_l2") and linf_max > spec.epsilon + 1e-12:
+            raise DataError(f"perturbation linf {linf_max} exceeds declared budget {spec.epsilon}")
     else:
         correct, conf, labels = correct_clean, conf_clean, dataset.labels
 
@@ -159,7 +157,7 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
         "loss": model.config.loss,
         "seed": model.config.seed,
         "dataset": {"name": dataset.name, "split": dataset.split, "size": len(dataset)},
-        "attack": dict(adversarial.spec) if adversarial is not None else None,
+        "attack": adversarial.spec.to_dict() if adversarial is not None else None,
     }
     return EvalReport(
         clean_accuracy=clean_accuracy,

@@ -243,10 +243,10 @@ class Model:
     def backward_batch(self, cache: dict, d_logits: np.ndarray, need_input_grad: bool = False):
         """Backprop d cost/d logits through the stack, in one of two passes.
 
-        A training pass returns (param_grads, None): param_grads maps the
-        same names as self.params, and on a TQ model cache["quantizer_delta"]
-        holds d cost/d quantizer-output for update_thresholds. An
-        input-gradient pass (need_input_grad=True) computes no parameter
+        A training pass returns (param_grads, quantizer_delta): param_grads
+        maps the same names as self.params, and quantizer_delta is d cost/d
+        quantizer-output for update_thresholds, None unless the model is TQ.
+        An input-gradient pass (need_input_grad=True) computes no parameter
         gradient and returns (None, d_raw_input), chained through the quantizer.
         """
         grads = None if need_input_grad else {}
@@ -257,8 +257,7 @@ class Model:
             d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, grads,
                                         need_input=i > 0 or want_bottom_delta)
         if not need_input_grad:
-            cache["quantizer_delta"] = d  # d cost / d quantizer-output; None unless TQ
-            return grads, None
+            return grads, d
         if self.quantizer is not None:
             return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
         return None, d.copy()  # detach from the scratch pool
@@ -373,7 +372,6 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
         raise BadConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
-    tq = model.quantizer is not None and model.quantizer.trainable
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = []
@@ -387,12 +385,11 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
                 raise DivergedError(f"non-finite loss {loss} at epoch {epoch} batch {bi}")
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == yb).sum())
-            grads, _ = model.backward_batch(cache, d_logits)
+            grads, quantizer_delta = model.backward_batch(cache, d_logits)
             for pname, g in grads.items():
                 model.params[pname] = nn.sgd_update(model.params[pname], g, lr)
-            if tq:
-                update_thresholds(model.quantizer, cache["quantizer_delta"],
-                                  cache["raw_input"], lr)
+            if quantizer_delta is not None:
+                update_thresholds(model.quantizer, quantizer_delta, cache["raw_input"], lr)
         stats = EpochStats(epoch=epoch, loss=float(np.mean(losses)),
                            accuracy=correct / n)
         trace.append(stats)

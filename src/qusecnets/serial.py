@@ -17,11 +17,15 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadConfigError, BadMagicError, DataError, ShapeMismatchError, TruncatedFileError
 from .model import _QUANT_KEY, Model, ModelConfig, build_model
+
+if TYPE_CHECKING:
+    from .attacks import AttackSpec  # attacks imports this module
 
 WEIGHTS_MAGIC = b"QSN1"
 ADVERSARIAL_MAGIC = b"QSA1"
@@ -143,12 +147,12 @@ def load_weights(path) -> Model:
 
 @dataclass
 class AdversarialBatch:
-    """Originals, perturbed versions, and labels, plus the attack-spec echo."""
+    """Originals, perturbed versions, and labels, plus the AttackSpec that made them."""
 
     originals: np.ndarray
     perturbed: np.ndarray
     labels: np.ndarray
-    spec: dict
+    spec: AttackSpec
 
     def __post_init__(self):
         if self.originals.shape != self.perturbed.shape:
@@ -165,12 +169,12 @@ def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
         "perturbed": batch.perturbed,
         "labels": np.asarray(batch.labels, dtype=np.float64),
     }
-    text = json.dumps(batch.spec, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(batch.spec.to_dict(), sort_keys=True, separators=(",", ":"))
     write_container(path, ADVERSARIAL_MAGIC, text, tensors)
 
 
 def load_adversarial_batch(path) -> AdversarialBatch:
-    """Read a QSA1 file; its spec echo is rebuilt through AttackSpec, so it comes back complete."""
+    """Read a QSA1 file; its spec echo is rebuilt as an AttackSpec."""
     from .attacks import AttackSpec  # attacks imports this module
 
     config_text, tensors = read_container(path, ADVERSARIAL_MAGIC)
@@ -183,8 +187,11 @@ def load_adversarial_batch(path) -> AdversarialBatch:
     # NaN fails every comparison; the bound keeps the int64 cast exact
     if not np.all((labels >= 0) & (labels < 2.0 ** 63) & (labels == np.floor(labels))):
         raise BadConfigError(f"{path}: labels must be finite non-negative integers")
+    for key in ("originals", "perturbed"):  # NaN fails the range test too
+        if not np.all((tensors[key] >= 0.0) & (tensors[key] <= 1.0)):
+            raise BadConfigError(f"{path}: {key} must hold finite pixels in [0, 1]")
     try:
-        spec = AttackSpec(**json.loads(config_text)).to_dict()
+        spec = AttackSpec(**json.loads(config_text))
     # ValueError: not JSON, or a bad value; TypeError: not an object, no kind, an unknown key
     except (ValueError, TypeError) as e:
         raise BadConfigError(f"{path}: invalid attack spec: {e}") from e

@@ -27,11 +27,11 @@ def _train_key(config: ModelConfig, epochs, batch_size, lr, train_seed, dataset)
 
 
 class ModelCache:
-    """Train-once store for sweep configurations.
+    """Train-once store for sweep configurations, kept as weight files.
 
-    Hits come from memory first, then from weight files under cache_dir
-    (when given). A weight file that fails to load (say, truncated by a
-    killed run) is a miss: the model is retrained and the file replaced.
+    A hit loads a fresh model from <cache_dir>/<key>.qsn; with no cache_dir
+    every lookup trains. A weight file that fails to load (say, truncated by
+    a killed run) is a miss: the model is retrained and the file replaced.
     Every lookup appends ("trained"|"cached", key) to events, which is how
     tests verify that a second sweep does no retraining.
     """
@@ -40,33 +40,26 @@ class ModelCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, Model] = {}
         self.events: list[tuple[str, str]] = []
 
     def get_or_train(self, config: ModelConfig, train_set, epochs: int,
                      batch_size: int = 64, lr: float = 0.01,
                      train_seed: int = 0) -> Model:
         key = _train_key(config, epochs, batch_size, lr, train_seed, train_set)
-        if key in self._memory:
-            self.events.append(("cached", key))
-            return self._memory[key]
-        if self.cache_dir is not None:
-            path = self.cache_dir / f"{key}.qsn"
-            if path.exists():
-                try:
-                    model = load_weights(path)
-                except DataError:
-                    pass
-                else:
-                    self._memory[key] = model
-                    self.events.append(("cached", key))
-                    return model
+        path = self.cache_dir / f"{key}.qsn" if self.cache_dir is not None else None
+        if path is not None and path.exists():
+            try:
+                model = load_weights(path)
+            except DataError:
+                pass
+            else:
+                self.events.append(("cached", key))
+                return model
         model = build_model(config)
         train(model, train_set, epochs=epochs, batch_size=batch_size,
               lr=lr, seed=train_seed)
-        self._memory[key] = model
-        if self.cache_dir is not None:
-            save_weights(model, self.cache_dir / f"{key}.qsn")
+        if path is not None:
+            save_weights(model, path)
         self.events.append(("trained", key))
         return model
 
@@ -96,9 +89,9 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     Per level, FGSM takes one forward and input-gradient pass over the test
     set: its probabilities are the clean pass, and its gradient signs serve
     every epsilon. Other attacks run a clean pass, then generate_batch per
-    epsilon. An epsilon-0 cell whose images come back unchanged forwards
-    nothing more (evaluate reuses the clean probabilities). Every attack
-    spec and model config is checked before any model is trained.
+    epsilon; every cell, epsilon 0 included, forwards its perturbed images
+    once in evaluate. Every attack spec and model config is checked before
+    any model is trained.
     """
     if not levels or not epsilons:
         raise BadConfigError("levels and epsilons must be non-empty")
@@ -117,8 +110,8 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
         if attack_kind == "fgsm":
             signs, clean_probs = fgsm_signs(model, images, labels)
             batches = (AdversarialBatch(originals=images,
-                                        perturbed=fgsm_step(images, signs.copy(), spec.epsilon),
-                                        labels=labels, spec=spec.to_dict())
+                                        perturbed=fgsm_step(images, signs, spec.epsilon),
+                                        labels=labels, spec=spec)
                        for spec in specs)
         else:
             clean_probs = predict_all(model, images)

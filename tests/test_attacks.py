@@ -21,6 +21,7 @@ from qusecnets.attacks import (
     _top_pair,
     fgsm_batch,
     fgsm_signs,
+    fgsm_step,
     generate_batch,
     jsma,
     next_class_targets,
@@ -415,12 +416,25 @@ def test_cw_batch_forwards_at_most_chunk_images(victim, monkeypatch):
 # generate_batch, and black-box transfer: generate_batch on a substitute, evaluate on a victim
 # ---------------------------------------------------------------------------
 
+def test_fgsm_step_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(7)
+    images = rng.random((3, 8, 8, 1))
+    signs = np.sign(rng.standard_normal(images.shape))
+    kept_images, kept_signs = images.copy(), signs.copy()
+    first = fgsm_step(images, signs, 0.3)
+    second = fgsm_step(images, signs, 0.1)
+    npt.assert_array_equal(signs, kept_signs)
+    npt.assert_array_equal(images, kept_images)
+    npt.assert_array_equal(first, np.clip(images + 0.3 * signs, 0.0, 1.0))
+    npt.assert_array_equal(second, np.clip(images + 0.1 * signs, 0.0, 1.0))
+
+
 def test_generate_batch_fgsm_spec_echo(victim):
     model, ds = victim
     spec = AttackSpec(kind="fgsm", epsilon=0.2)
     batch = generate_batch(model, ds.images[:8], ds.labels[:8], spec)
-    assert batch.spec["kind"] == "fgsm"
-    assert batch.spec["epsilon"] == 0.2
+    assert batch.spec.kind == "fgsm"
+    assert batch.spec.epsilon == 0.2
     npt.assert_array_equal(batch.originals, ds.images[:8])
     assert np.abs(batch.perturbed - batch.originals).max() <= 0.2 + 1e-12
 

@@ -285,13 +285,15 @@ def test_weights_with_nan_threshold_exit_2(env, capsys):
 
 def test_adversarial_labels_past_the_classes_exit_2(env, capsys):
     from qusecnets.model import ModelConfig, build_model
+    from qusecnets.attacks import AttackSpec
     from qusecnets.serial import AdversarialBatch, save_adversarial_batch, save_weights
 
     model = build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10))))
     save_weights(model, env / "m.qsn")
     images = np.zeros((2, 28, 28, 1))
-    save_adversarial_batch(AdversarialBatch(images, images, np.array([1, 10]), {"kind": "fgsm"}),
-                           env / "adv.qsa")
+    save_adversarial_batch(
+        AdversarialBatch(images, images, np.array([1, 10]), AttackSpec(kind="fgsm")),
+        env / "adv.qsa")
     assert cli(["evaluate", "--model", str(env / "m.qsn"), "--inputs", str(env / "adv.qsa")]) == 2
     assert "labels must lie in [0, 10)" in capsys.readouterr().err
 
@@ -315,6 +317,38 @@ def test_adversarial_spec_echo_checked_on_load(env, capsys, spec):
     entry = _run_log(env)[-1]
     assert (entry["argv"], entry["status"]) == (argv, 2)
     assert not (env / "r.json").exists()
+
+
+@pytest.mark.parametrize("pixel", [np.nan, 2.0, -1.0], ids=["nan", "above-1", "below-0"])
+def test_adversarial_pixels_outside_the_unit_range_exit_2(env, capsys, pixel):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import save_weights, write_container
+
+    save_weights(build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10)))),
+                 env / "m.qsn")
+    images = np.zeros((2, 28, 28, 1))
+    perturbed = images.copy()
+    perturbed[0, 3, 4, 0] = pixel
+    write_container(env / "adv.qsa", b"QSA1", '{"kind":"fgsm"}',
+                    {"originals": images, "perturbed": perturbed, "labels": np.array([1.0, 2.0])})
+    argv = ["evaluate", "--model", "m.qsn", "--inputs", "adv.qsa", "--report", "r.json"]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "perturbed" in err and "Traceback" not in err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 2)
+    assert not (env / "r.json").exists()
+
+
+def test_sweep_cell_equals_train_with_the_same_seed(env):
+    rc = cli(["sweep", "--levels", "2", "--seed", "3", "--epochs", "1",
+              "--cache-dir", "cache", "--out", "sweep.csv"])
+    assert rc == 0
+    (cached,) = (env / "cache").iterdir()
+    rc = cli(["train", "--defense", "cq", "--levels", "2", "--seed", "3", "--epochs", "1",
+              "--out", "m.qsn"])
+    assert rc == 0
+    assert cached.read_bytes() == (env / "m.qsn").read_bytes()
 
 
 VALID_REPORT = {

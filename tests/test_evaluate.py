@@ -12,7 +12,7 @@ from qusecnets.attacks import ATTACK_KINDS, AttackSpec, generate_batch
 from qusecnets.errors import BadConfigError, DataError, ShapeMismatchError
 from qusecnets.evaluate import EvalReport, evaluate, perturbation_stats, predict_all
 from qusecnets.model import DEFENSES, LOSSES, MAX_LEVELS, build_model
-from qusecnets.serial import AdversarialBatch
+from qusecnets.serial import AdversarialBatch, load_adversarial_batch, save_adversarial_batch
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
@@ -87,17 +87,18 @@ def test_evaluate_perfect_model():
 def test_evaluate_adv_equals_clean_for_unperturbed_batch():
     model, ds = trained_tiny_model()
     batch = AdversarialBatch(ds.images, ds.images.copy(), ds.labels,
-                             {"kind": "fgsm", "epsilon": 0.0})
+                             AttackSpec(kind="fgsm", epsilon=0.0))
     report = evaluate(model, ds, adversarial=batch)
     assert report.l2_mean == 0.0
     assert report.adv_accuracy == report.clean_accuracy
 
 
-def test_evaluate_report_schema_and_regression():
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_evaluate_report_schema_and_regression(kind, tmp_path):
     model, ds = trained_tiny_model()
     small = type(ds)(ds.images[:10], ds.labels[:10], ds.name, ds.split)
     batch = generate_batch(model, small.images, small.labels,
-                           AttackSpec(kind="fgsm", epsilon=0.3))
+                           AttackSpec(kind=kind, epsilon=0.3))
     report = evaluate(model, small, adversarial=batch)
     payload = json.loads(report.to_json())
     validate(payload, SCHEMA)
@@ -105,7 +106,14 @@ def test_evaluate_report_schema_and_regression():
     report2 = evaluate(model, small, adversarial=batch)
     assert report.to_json() == report2.to_json()
     assert payload["config"]["attack"]["epsilon"] == 0.3
-    assert payload["linf_max"] <= 0.3 + 1e-12
+    assert payload["config"]["attack"]["kind"] == kind
+    if kind != "jsma":  # jsma's budget is gamma and theta, not epsilon
+        assert payload["linf_max"] <= 0.3 + 1e-12
+    # the same report after a .qsa round trip
+    save_adversarial_batch(batch, tmp_path / "adv.qsa")
+    loaded = evaluate(model, small, adversarial=load_adversarial_batch(tmp_path / "adv.qsa"))
+    validate(json.loads(loaded.to_json()), SCHEMA)
+    assert loaded.to_json() == report.to_json()
 
 
 def test_evaluate_clean_report_schema():
@@ -151,7 +159,7 @@ def test_evaluate_accuracy_is_shuffle_invariant():
 def test_evaluate_rejects_budget_violation():
     model, ds = trained_tiny_model()
     bad = AdversarialBatch(ds.images[:4], np.clip(ds.images[:4] + 0.5, 0, 1),
-                           ds.labels[:4], {"kind": "fgsm", "epsilon": 0.1})
+                           ds.labels[:4], AttackSpec(kind="fgsm", epsilon=0.1))
     with pytest.raises(DataError, match="budget"):
         evaluate(model, ds.subset(4), adversarial=bad)
 
@@ -183,6 +191,7 @@ def test_evaluate_rejects_labels_outside_the_classes(bad_label):
     labels[3] = bad_label
     with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
         evaluate(model, type(ds)(ds.images, labels, ds.name, ds.split))
-    batch = AdversarialBatch(ds.images, ds.images.copy(), labels, {"kind": "fgsm", "epsilon": 0.0})
+    batch = AdversarialBatch(ds.images, ds.images.copy(), labels,
+                             AttackSpec(kind="fgsm", epsilon=0.0))
     with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
         evaluate(model, ds, adversarial=batch)

@@ -187,13 +187,25 @@ def test_adversarial_labels_must_be_a_vector(tmp_path):
         load_adversarial_batch(path)
 
 
+@pytest.mark.parametrize("pixel", [np.nan, 2.0, -1.0], ids=["nan", "above-1", "below-0"])
+@pytest.mark.parametrize("tensor", ["originals", "perturbed"])
+def test_adversarial_pixels_outside_the_unit_range_fail_closed(tmp_path, tensor, pixel):
+    tensors = {"originals": np.zeros((2, 3)), "perturbed": np.ones((2, 3)),
+               "labels": np.arange(2.0)}
+    tensors[tensor][1, 2] = pixel
+    path = tmp_path / "adv.qsa"
+    write_container(path, b"QSA1", '{"kind":"fgsm"}', tensors)
+    with pytest.raises(BadConfigError, match=f"adv.qsa: {tensor}"):
+        load_adversarial_batch(path)
+
+
 def test_adversarial_batch_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     batch = AdversarialBatch(
         originals=rng.random((4, 8, 8, 1)),
         perturbed=rng.random((4, 8, 8, 1)),
         labels=np.array([1, 2, 3, 4]),
-        spec=AttackSpec(kind="fgsm", epsilon=0.3).to_dict(),
+        spec=AttackSpec(kind="fgsm", epsilon=0.3),
     )
     path = tmp_path / "adv.qsa"
     save_adversarial_batch(batch, path)
@@ -214,10 +226,10 @@ def test_adversarial_magic_is_distinct(tmp_path, tq_model):
 def test_batch_shape_validation():
     with pytest.raises(ShapeMismatchError):
         AdversarialBatch(np.zeros((2, 3)), np.zeros((3, 3)),
-                         np.zeros(2), {})
+                         np.zeros(2), AttackSpec(kind="fgsm"))
     with pytest.raises(ShapeMismatchError):
         AdversarialBatch(np.zeros((2, 3)), np.zeros((2, 3)),
-                         np.zeros(3), {})
+                         np.zeros(3), AttackSpec(kind="fgsm"))
 
 
 def _config_dict():
@@ -334,7 +346,7 @@ def valid_containers(tmp_path_factory):
                     architecture=(("conv", 1, 2), ("dense", 2)))
     save_weights(build_model(small), d / "m.qsn")
     save_adversarial_batch(AdversarialBatch(np.zeros((2, 3)), np.ones((2, 3)), np.arange(2),
-                                            {"kind": "fgsm"}), d / "a.qsa")
+                                            AttackSpec(kind="fgsm")), d / "a.qsa")
     return d / "fuzz", {b"QSN1": (d / "m.qsn").read_bytes(), b"QSA1": (d / "a.qsa").read_bytes()}
 
 

@@ -132,9 +132,9 @@ def test_non_utf8_cache_entry_is_retrained(sets, tmp_path):
     assert path.read_bytes() == good
 
 
-def test_sweep_reports_match_evaluate_without_clean_probs(sets):
+def test_sweep_reports_match_evaluate_without_clean_probs(sets, tmp_path):
     train_set, test_set = sets
-    cache = ModelCache()
+    cache = ModelCache(tmp_path)
     result = sweep(BASE, [2, 3], [0.1, 0.3], "fgsm", train_set, test_set,
                    cache=cache, **TRAIN_KW)
     for row in result.rows:
@@ -144,11 +144,11 @@ def test_sweep_reports_match_evaluate_without_clean_probs(sets):
         assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()
 
 
-def test_fgsm_sweep_takes_one_gradient_pass_per_level(sets, monkeypatch):
+def test_fgsm_sweep_takes_one_gradient_pass_per_level(sets, monkeypatch, tmp_path):
     train_set, _ = sets
     test_set = blob_dataset(n_per_class=13, seed=2)  # 130 images: a partial last chunk
     levels, epsilons = [2, 3], [0.0, 0.1, 0.3]
-    cache = ModelCache()
+    cache = ModelCache(tmp_path)
     for n in levels:  # train outside the count
         cache.get_or_train(replace(BASE, levels=n), train_set, **TRAIN_KW)
     counter = PassCounter(monkeypatch)
@@ -159,10 +159,10 @@ def test_fgsm_sweep_takes_one_gradient_pass_per_level(sets, monkeypatch):
     assert counter.input_grad_rows == len(levels) * n_images
 
 
-def test_fgsm_sweep_rows_equal_per_epsilon_attacks(sets):
+def test_fgsm_sweep_rows_equal_per_epsilon_attacks(sets, tmp_path):
     train_set, _ = sets
     test_set = blob_dataset(n_per_class=13, seed=2)
-    cache = ModelCache()
+    cache = ModelCache(tmp_path)
     epsilons = [0.2, 0.0, 0.05, 0.2]
     result = sweep(BASE, [2, 4], epsilons, "fgsm", train_set, test_set,
                    cache=cache, **TRAIN_KW)

@@ -1,13 +1,16 @@
 """Command-line interface: train | attack | evaluate | sweep | report.
 
 Exit codes: 0 success, 1 usage error, 2 data/model error. Every run appends
-one JSON line to the run log ($QSN_RUN_LOG, default ./qsn_runs.jsonl).
+one JSON line to the run log ($QSN_RUN_LOG, default ./qsn_runs.jsonl), a
+crash included: time, argv, status, error_type (null on success),
+duration_s and peak_rss_mb.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -218,12 +221,15 @@ def cmd_report(report_path):
     click.echo(f"per-class accuracy: [{per_class}]")
 
 
-def _append_run_log(argv, status: int):
+def _append_run_log(argv, status: int, error_type: str | None, duration_s: float):
     path = os.environ.get(RUN_LOG_ENV, DEFAULT_RUN_LOG)
     line = json.dumps({
         "time": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "argv": list(argv),
         "status": status,
+        "error_type": error_type,
+        "duration_s": round(duration_s, 3),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }, sort_keys=True)
     try:
         with open(path, "a") as f:
@@ -233,20 +239,30 @@ def _append_run_log(argv, status: int):
 
 
 def cli(argv) -> int:
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.
+
+    The run-log line is written whatever happens; an exception that is
+    not a usage or data error is logged with status 1, then re-raised.
+    """
     argv = list(argv)
+    start = time.monotonic()
+    status, error_type = 1, None
     try:
         group.main(args=argv, standalone_mode=False)
         status = 0
     except click.ClickException as e:
         e.show(file=sys.stderr)
-        status = 1
-    except click.exceptions.Abort:
-        status = 1
+        error_type = type(e).__name__
+    except click.exceptions.Abort as e:
+        error_type = type(e).__name__
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        status = 2
-    _append_run_log(argv, status)
+        status, error_type = 2, type(e).__name__
+    except Exception as e:
+        error_type = type(e).__name__
+        raise
+    finally:
+        _append_run_log(argv, status, error_type, time.monotonic() - start)
     return status
 
 

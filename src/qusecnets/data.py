@@ -99,6 +99,14 @@ def load_mnist(data_dir=None, split: str = "train") -> Dataset:
                    _read_idx_labels(d / f"{prefix}-labels-idx1-ubyte"), "mnist", split)
 
 
+def _cifar_batch(path: Path) -> bytes:
+    data = path.read_bytes()
+    if len(data) % CIFAR_RECORD_BYTES != 0:
+        raise TruncatedFileError(
+            f"{path}: length {len(data)} is not a multiple of {CIFAR_RECORD_BYTES}")
+    return data
+
+
 def load_cifar10(data_dir=None, split: str = "train") -> Dataset:
     """Parse CIFAR-10 binary batches: per record 1 label byte + 3072 planar pixels."""
     d = _resolve_dir(data_dir, "cifar10")
@@ -108,17 +116,13 @@ def load_cifar10(data_dir=None, split: str = "train") -> Dataset:
         files = [d / "test_batch.bin"]
     if not files or not all(f.exists() for f in files):
         raise DataError(f"{d}: no CIFAR-10 batch files for split {split!r}")
-    images, labels = [], []
-    for f in files:
-        data = f.read_bytes()
-        if len(data) % CIFAR_RECORD_BYTES != 0:
-            raise TruncatedFileError(
-                f"{f}: length {len(data)} is not a multiple of {CIFAR_RECORD_BYTES}")
-        records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(records[:, 0].astype(np.int64))
-        planar = records[:, 1:].reshape(-1, 3, 32, 32)
-        images.append(planar.transpose(0, 2, 3, 1).astype(np.float64) / 255.0)
-    labels = np.concatenate(labels)
+    # join the raw records first, so the float64 images are built once, not concatenated
+    records = np.frombuffer(b"".join(_cifar_batch(f) for f in files), dtype=np.uint8)
+    records = records.reshape(-1, CIFAR_RECORD_BYTES)
+    labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) > 9:
         raise DataError(f"{d}: label {labels.max()} out of range 0..9")
-    return Dataset(np.concatenate(images), labels, "cifar10", split)
+    planar = records[:, 1:].reshape(-1, 3, 32, 32)
+    images = planar.transpose(0, 2, 3, 1).astype(np.float64)
+    images /= 255.0
+    return Dataset(images, labels, "cifar10", split)

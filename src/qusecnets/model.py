@@ -210,7 +210,7 @@ class Model:
         self._pool = nn.BufferPool()
 
     def clear_buffers(self):
-        """Drop conv scratch buffers (~0.5 GB for the default stack at batch 64)."""
+        """Drop conv scratch buffers (~0.33 GB for the default stack at batch 64)."""
         self._pool.clear()
 
     @property

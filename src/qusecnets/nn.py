@@ -16,10 +16,19 @@ form (cross_entropy is its d/dP).
 The batched conv copies its input k times (one width shift per kernel
 column) into a row-patch matrix and runs one GEMM per kernel row over a
 contiguous block of it, so no k*k patch (im2col) matrix is ever built.
+
+With a BufferPool, a buffer that outlives its conv call is keyed by layer:
+"<key>.rows" (read by the backward), "<key>.out" (read by the next layer)
+and "<key>.dinput" (read by the layer below). Scratch that dies inside the
+call is keyed by role and shared by every layer: "part" (the forward's
+and the backward's per-kernel-row GEMM result), "up" (the H'-major
+upstream) and "drows" (the row-gradient matrix), each sized to its
+largest layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,22 +55,26 @@ def _as_f64(x) -> Tensor:
 class BufferPool:
     """Reusable scratch arrays keyed by name; avoids re-faulting big buffers.
 
-    Each conv layer keeps its row-patch matrix, output and gradient
-    workspaces here, tens of MB per layer at batch 64; allocating them
-    fresh every batch costs page faults on every call. Buffers are
-    replaced when the requested shape changes, and hold garbage between
-    uses, so callers must fully overwrite (or fill) what they take.
+    Each key owns one flat float64 buffer, and get returns a view of its
+    leading elements in the requested shape. The buffer grows when a
+    request is larger and never shrinks, so a key serves all of its
+    shapes from the memory of the largest. Allocating conv workspaces
+    fresh every batch would cost page faults on every call. Views hold
+    garbage, so callers must fully overwrite (or fill) what they take,
+    and consume a view before the next call on this pool that takes the
+    same key, whatever the shape.
     """
 
     def __init__(self):
         self._bufs: dict[str, Tensor] = {}
 
     def get(self, key: str, shape: tuple) -> Tensor:
+        size = math.prod(shape)
         buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
+        if buf is None or buf.size < size:
+            buf = np.empty(size)
             self._bufs[key] = buf
-        return buf
+        return buf[:size].reshape(shape)
 
     def clear(self):
         self._bufs.clear()
@@ -96,7 +109,7 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     kern = kernels.reshape(k, k * cin, cout)
     out = _take(pool, key + ".out", (m, cout))
     np.matmul(rows[:m], kern[0], out=out)
-    part = _take(pool, key + ".part", (m, cout))
+    part = _take(pool, "part", (m, cout))
     for ki in range(1, k):
         np.matmul(rows[ki * stride:ki * stride + m], kern[ki], out=part)
         out += part
@@ -126,7 +139,7 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     stride, m = n * ow, oh * n * ow
     up = upstream.transpose(1, 0, 2, 3)
     if not up.flags.c_contiguous:  # already H'-major when it is a d_input
-        buf = _take(pool, key + ".up", up.shape)
+        buf = _take(pool, "up", up.shape)
         buf[...] = up
         up = buf
     up = up.reshape(m, cout)
@@ -139,10 +152,10 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_kernels = d_kernels.reshape(kernels.shape)
         d_bias = up.sum(axis=0)
     if need_input:
-        d_rows = _take(pool, key + ".drows", (h * stride, k * cin))
+        d_rows = _take(pool, "drows", (h * stride, k * cin))
         np.matmul(up, kern[0].T, out=d_rows[:m])
         d_rows[m:] = 0.0
-        part = _take(pool, key + ".dpart", (m, k * cin))
+        part = _take(pool, "part", (m, k * cin))
         for ki in range(1, k):
             np.matmul(up, kern[ki].T, out=part)
             d_rows[ki * stride:ki * stride + m] += part

@@ -258,6 +258,31 @@ def test_missing_model_file_exits_2(env):
 def _run_log(env):
     return [json.loads(line) for line in (env / "runs.jsonl").read_text().splitlines()]
 
+def test_uncaught_error_is_logged_then_raised(env, monkeypatch):
+    def broken(path):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr("qusecnets.cli.load_weights", broken)
+    argv = ["evaluate", "--model", "m.qsn"]
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        cli(argv)
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"], entry["error_type"]) == (argv, 1, "RuntimeError")
+    assert entry["duration_s"] >= 0.0 and entry["peak_rss_mb"] > 0.0
+
+
+def test_every_log_line_records_outcome_and_cost(env):
+    assert cli(["train", "--epochs", "0", "--train-count", "8", "--out", "t.qsn"]) == 0
+    assert cli(["frobnicate"]) == 1
+    assert cli(["evaluate", "--model", "missing.qsn"]) == 2
+    log = _run_log(env)
+    assert [(e["status"], e["error_type"]) for e in log] == [
+        (0, None), (1, "NoSuchCommand"), (2, "FileNotFoundError")]
+    for entry in log:
+        assert set(entry) == {"time", "argv", "status", "error_type", "duration_s",
+                              "peak_rss_mb"}
+        assert entry["duration_s"] >= 0.0 and entry["peak_rss_mb"] > 0.0
+
 
 @pytest.mark.parametrize("argv", [["report", "{dir}"], ["evaluate", "--model", "{dir}"]],
                          ids=["report", "evaluate"])

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -242,6 +243,24 @@ def test_cifar_multiple_train_batches_concatenate(tmp_path):
     ds = load_cifar10(tmp_path, split="train")
     assert len(ds) == 2
     npt.assert_array_equal(ds.labels, [1, 2])
+
+
+def test_cifar_multi_file_load_converts_once(tmp_path):
+    """Peak traced memory stays near the float64 image array (one conversion, no concat copy)."""
+    rng = np.random.default_rng(4)
+    per_file = 200
+    for i in (1, 2, 3, 4, 5):
+        records = rng.integers(0, 256, (per_file, 3073)).astype(np.uint8)
+        records[:, 0] = rng.integers(0, 10, per_file)
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(records.tobytes())
+    tracemalloc.start()
+    try:
+        ds = load_cifar10(tmp_path, split="train")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.images.shape == (5 * per_file, 32, 32, 3)
+    assert peak <= 1.3 * ds.images.nbytes
 
 
 @st.composite

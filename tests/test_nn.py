@@ -440,23 +440,40 @@ def test_batched_conv_parity_matrix(n, cin, h, w, k):
     assert results[True, False].tobytes() == results[True, True].tobytes()
 
 
+def test_pool_views_share_the_buffer_until_a_larger_request():
+    pool = nn.BufferPool()
+    first = pool.get("k", (4, 6))
+    smaller = pool.get("k", (3, 5))
+    assert smaller.shape == (3, 5) and np.shares_memory(first, smaller)
+    larger = pool.get("k", (5, 6))
+    assert larger.shape == (5, 6) and not np.shares_memory(first, larger)
+    assert np.shares_memory(larger, pool.get("k", (2, 3, 5)))
+    assert not np.shares_memory(larger, pool.get("other", (2,)))
+
+
 def test_pooled_conv_matches_unpooled_across_shape_changes():
+    """Two stacked layers on one pool, called in model order, as batch and size change."""
     rng = np.random.default_rng(14)
-    kernels = rng.standard_normal((3, 3, 2, 4))
-    bias = rng.standard_normal(4)
+    ka, ba = rng.standard_normal((3, 3, 2, 4)), rng.standard_normal(4)
+    kb, bb = rng.standard_normal((2, 2, 4, 3)), rng.standard_normal(3)
     pool = nn.BufferPool()
     for shape in [(2, 6, 5, 2), (3, 5, 7, 2), (2, 6, 5, 2)]:
         xs = rng.standard_normal(shape)
-        upstream = rng.standard_normal((shape[0], shape[1] - 2, shape[2] - 2, 4))
-        fresh_out, fresh_rows = nn.conv_forward_batch(xs, kernels, bias)
-        fresh = nn.conv_backward_batch(fresh_rows, kernels, upstream, xs.shape)
-        out, rows = nn.conv_forward_batch(xs, kernels, bias, pool=pool, key="c")
-        npt.assert_array_equal(out, fresh_out)
-        pooled = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
-                                        pool=pool, key="c")
-        for a, b in zip(pooled, fresh):
-            npt.assert_array_equal(a, b)
+        mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
+        upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
+        fresh_a, fresh_rows_a = nn.conv_forward_batch(xs, ka, ba)
+        fresh_b, fresh_rows_b = nn.conv_forward_batch(fresh_a, kb, bb)
+        fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
+        fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
+        # forward A, forward B, backward B, backward A, as Model runs them
+        out_a, rows_a = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
+        out_b, rows_b = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
+        grad_b = nn.conv_backward_batch(rows_b, kb, upstream, mid, pool=pool, key="b")
+        grad_a = nn.conv_backward_batch(rows_a, ka, grad_b[2], shape, pool=pool, key="a")
+        for a, b in zip((out_a, out_b) + grad_b + grad_a,
+                        (fresh_a, fresh_b) + fresh_grad_b + fresh_grad_a):
+            assert a.tobytes() == b.tobytes()
         # an upstream already laid out H'-major (a lower layer's d_input) is used in place
         hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-        for a, b in zip(nn.conv_backward_batch(rows, kernels, hmajor, xs.shape), fresh):
+        for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
             npt.assert_array_equal(a, b)

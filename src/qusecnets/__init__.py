@@ -1,6 +1,6 @@
 """Input-quantization defense for small CNNs, with attacks and evaluation."""
 
-from .attacks import AdversarialExample, AttackSpec, generate_batch, jsma
+from .attacks import AdversarialBatch, AdversarialExample, AttackSpec, generate_batch, jsma
 from .data import Dataset, load_cifar10, load_mnist
 from .evaluate import EvalReport, evaluate, perturbation_stats
 from .model import Model, ModelConfig, build_model, train
@@ -13,13 +13,7 @@ from .quantize import (
     sigmoid_unit,
     update_thresholds,
 )
-from .serial import (
-    AdversarialBatch,
-    load_adversarial_batch,
-    load_weights,
-    save_adversarial_batch,
-    save_weights,
-)
+from .serial import load_adversarial_batch, load_weights, save_adversarial_batch, save_weights
 from .sweep import ModelCache, sweep, sweep_to_csv
 
 __version__ = "0.1.0"

@@ -18,10 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .errors import BadConfigError, DivergedError
-from .evaluate import CHUNK
-from .model import Model
-from .serial import AdversarialBatch
+from .errors import BadConfigError, DivergedError, ShapeMismatchError
+from .model import CHUNK, Model
 
 ATTACK_KINDS = ("fgsm", "jsma", "cw_l2")
 
@@ -95,6 +93,24 @@ _FIELD_TYPES = {"iterations": int, "target_class": int, **dict.fromkeys(
 
 
 @dataclass
+class AdversarialBatch:
+    """Originals, perturbed versions, and labels, plus the AttackSpec that made them."""
+
+    originals: np.ndarray
+    perturbed: np.ndarray
+    labels: np.ndarray
+    spec: AttackSpec
+
+    def __post_init__(self):
+        if self.originals.shape != self.perturbed.shape:
+            raise ShapeMismatchError(
+                f"originals shape {self.originals.shape} != perturbed {self.perturbed.shape}")
+        if len(self.labels) != len(self.originals):
+            raise ShapeMismatchError(
+                f"{len(self.labels)} labels for {len(self.originals)} images")
+
+
+@dataclass
 class AdversarialExample:
     """One attacked image with bookkeeping for reporting."""
 
@@ -130,7 +146,7 @@ def fgsm_signs(model: Model, images: np.ndarray, labels: np.ndarray):
     """(sign(d loss/d x), clean probabilities) for every image; sign(0) = 0.
 
     FGSM's direction does not depend on epsilon, so one pass serves every
-    budget. Images are forwarded evaluate.CHUNK at a time, as in
+    budget. Images are forwarded model.CHUNK at a time, as in
     evaluate.predict_all, so the probabilities equal predict_all's.
     """
     images = np.asarray(images, dtype=np.float64)

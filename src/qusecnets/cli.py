@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 data/model error. Every run appends
 one JSON line to the run log ($QSN_RUN_LOG, default ./qsn_runs.jsonl), a
 crash included: time, argv, status, error_type (null on success),
-duration_s and peak_rss_mb.
+duration_s, peak_rss_mb and the package version.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import replace
 
 import click
 
+from . import __version__
 from .attacks import ATTACK_KINDS, AttackSpec, generate_batch
-from .data import load_cifar10, load_mnist
+from .data import SPLITS, Dataset, load_cifar10, load_mnist
 from .errors import BadConfigError, DataError
 from .evaluate import EvalReport, evaluate
 from .model import DEFENSES, LOSSES, ModelConfig, build_model, train
@@ -112,7 +113,7 @@ def cmd_train(dataset, data_dir, epochs, batch_size, lr, train_count, out, **fie
 @click.option("--gamma", type=float, default=AttackSpec.gamma, show_default=True)
 @click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None)
-@click.option("--split", type=click.Choice(["train", "test"]), default="test",
+@click.option("--split", type=click.Choice(SPLITS), default="test",
               show_default=True)
 @click.option("--count", type=int, default=1000, show_default=True,
               help="Leading records to attack (0 = all).")
@@ -134,7 +135,7 @@ def cmd_attack(model_path, method, dataset, data_dir, split, count, out, **field
               help="Adversarial batch (.qsa); clean set is its originals.")
 @click.option("--dataset", type=DATASETS, default="mnist", show_default=True)
 @click.option("--data-dir", type=click.Path(), default=None)
-@click.option("--split", type=click.Choice(["train", "test"]), default="test",
+@click.option("--split", type=click.Choice(SPLITS), default="test",
               show_default=True)
 @click.option("--count", type=int, default=1000, show_default=True,
               help="Leading records when evaluating clean (0 = all).")
@@ -142,8 +143,6 @@ def cmd_attack(model_path, method, dataset, data_dir, split, count, out, **field
               help="Write the report JSON here.")
 def cmd_evaluate(model_path, inputs, dataset, data_dir, split, count, report_path):
     """Evaluate a model on clean data or on a saved adversarial batch."""
-    from .data import Dataset
-
     model = load_weights(model_path)
     if inputs is not None:
         batch = load_adversarial_batch(inputs)
@@ -230,6 +229,7 @@ def _append_run_log(argv, status: int, error_type: str | None, duration_s: float
         "error_type": error_type,
         "duration_s": round(duration_s, 3),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "version": __version__,
     }, sort_keys=True)
     try:
         with open(path, "a") as f:

@@ -21,6 +21,7 @@ IDX_LABEL_MAGIC = 2049
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 channel-planar pixels
 
 DATA_DIR_ENV = "QSN_DATA_DIR"
+SPLITS = ("train", "test")
 
 
 @dataclass
@@ -47,7 +48,10 @@ class Dataset:
         return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
 
 
-def _resolve_dir(data_dir, name: str) -> Path:
+def _resolve_dir(data_dir, name: str, split: str) -> Path:
+    """The dataset's directory; BadConfigError first if split is not one of SPLITS."""
+    if split not in SPLITS:
+        raise BadConfigError(f"split must be one of {SPLITS}, got {split!r}")
     if data_dir is not None:
         return Path(data_dir)
     root = os.environ.get(DATA_DIR_ENV)
@@ -93,7 +97,7 @@ def _read_idx_labels(path: Path) -> np.ndarray:
 
 def load_mnist(data_dir=None, split: str = "train") -> Dataset:
     """Parse the standard big-endian IDX pair for one split."""
-    d = _resolve_dir(data_dir, "mnist")
+    d = _resolve_dir(data_dir, "mnist", split)
     prefix = "train" if split == "train" else "t10k"
     return Dataset(_read_idx_images(d / f"{prefix}-images-idx3-ubyte"),
                    _read_idx_labels(d / f"{prefix}-labels-idx1-ubyte"), "mnist", split)
@@ -109,7 +113,7 @@ def _cifar_batch(path: Path) -> bytes:
 
 def load_cifar10(data_dir=None, split: str = "train") -> Dataset:
     """Parse CIFAR-10 binary batches: per record 1 label byte + 3072 planar pixels."""
-    d = _resolve_dir(data_dir, "cifar10")
+    d = _resolve_dir(data_dir, "cifar10", split)
     if split == "train":
         files = sorted(d.glob("data_batch_*.bin"))
     else:

@@ -7,9 +7,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .attacks import AdversarialBatch
 from .errors import BadConfigError, DataError, ShapeMismatchError
-from .model import Model
-from .serial import AdversarialBatch
+from .model import CHUNK, Model
 
 
 @dataclass
@@ -80,11 +80,6 @@ def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):
     linf_max = float(np.abs(delta).max(initial=0.0))
     l0_mean = float((np.abs(delta) > 1e-6).mean(axis=1).mean())
     return l2_mean, linf_max, l0_mean
-
-
-# Images per forward pass. The GEMM results depend on the batch shape, so every
-# pass whose probabilities must equal predict_all's (attacks.fgsm_signs) uses it.
-CHUNK = 64
 
 
 def predict_all(model: Model, images: np.ndarray) -> np.ndarray:

@@ -39,6 +39,10 @@ DEFENSES = ("none", "cq", "tq")
 MAX_LEVELS = 256
 LOSSES = ("mse", "cross_entropy")
 
+# Images per forward pass. The GEMM results depend on the batch shape, so every
+# pass whose probabilities must equal predict_all's (attacks.fgsm_signs) uses it.
+CHUNK = 64
+
 
 def _int(what: str, value) -> int:
     """value as a Python int; TypeError for bools and non-integers."""
@@ -208,6 +212,7 @@ class Model:
         self.params = params
         self.layers = _layers(config)
         self._pool = nn.BufferPool()
+        self._forwards = 0  # forward passes so far; a cache records its own
 
     def clear_buffers(self):
         """Drop conv scratch buffers (~0.33 GB for the default stack at batch 64)."""
@@ -217,21 +222,36 @@ class Model:
     def num_classes(self) -> int:
         return self.config.architecture[-1][1]
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor under its .qsn name, params then thresholds; build_model's inverse."""
+        tensors = dict(self.params)
+        if self.quantizer is not None:
+            tensors[_QUANT_KEY] = self.quantizer.thresholds
+        return tensors
+
     # -- forward ------------------------------------------------------------
 
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
-        """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches."""
+        """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches.
+
+        The conv row patches a cache holds live in the model's scratch pool,
+        so a cache serves a training pass of backward_batch only until the
+        next forward_batch on this model; an input-gradient pass reads none
+        of them and takes any cache.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.config.input_shape:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} != configured {self.config.input_shape}")
+        self._forwards += 1
         a = quantize(x, self.quantizer) if self.quantizer is not None else x
         caches = [] if keep_cache else None
         for layer in self.layers:
             a = layer.forward(a, self.params, self._pool, caches)
         probs = nn.softmax_batch(a)
         if keep_cache:
-            return probs, {"raw_input": x, "layers": caches, "logits": a}
+            return probs, {"raw_input": x, "layers": caches, "logits": a,
+                           "forward": self._forwards}
         return probs
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -248,7 +268,11 @@ class Model:
         quantizer-output for update_thresholds, None unless the model is TQ.
         An input-gradient pass (need_input_grad=True) computes no parameter
         gradient and returns (None, d_raw_input), chained through the quantizer.
+        A training pass raises ValueError on a cache from an earlier forward
+        pass than the last (see forward_batch).
         """
+        if not need_input_grad and cache["forward"] != self._forwards:
+            raise ValueError("training pass on a stale cache: forward_batch ran since it was made")
         grads = None if need_input_grad else {}
         want_bottom_delta = need_input_grad or (
             self.quantizer is not None and self.quantizer.trainable)

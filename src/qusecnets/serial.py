@@ -7,7 +7,8 @@ Layout, all integers little-endian:
 
 Round trips are byte-exact; readers fail with distinct errors for a wrong
 magic, a truncated payload (naming the tensor), and shapes that disagree
-with the embedded config.
+with the embedded config. A weight file holds Model.tensors(); the batch
+type, AdversarialBatch, is defined in attacks and re-exported here.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .attacks import AdversarialBatch, AttackSpec
 from .errors import BadConfigError, BadMagicError, DataError, ShapeMismatchError, TruncatedFileError
-from .model import _QUANT_KEY, Model, ModelConfig, build_model
-
-if TYPE_CHECKING:
-    from .attacks import AttackSpec  # attacks imports this module
+from .model import Model, ModelConfig, build_model
 
 WEIGHTS_MAGIC = b"QSN1"
 ADVERSARIAL_MAGIC = b"QSA1"
@@ -119,10 +116,7 @@ def read_container(path, expected_magic: bytes):
 
 def save_weights(model: Model, path) -> None:
     """Persist parameters, quantizer state, and the config echo."""
-    tensors = dict(model.params)
-    if model.quantizer is not None:
-        tensors[_QUANT_KEY] = model.quantizer.thresholds
-    write_container(path, WEIGHTS_MAGIC, model.config.canonical_text(), tensors)
+    write_container(path, WEIGHTS_MAGIC, model.config.canonical_text(), model.tensors())
 
 
 def load_weights(path) -> Model:
@@ -145,24 +139,6 @@ def load_weights(path) -> Model:
 # Adversarial batches
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdversarialBatch:
-    """Originals, perturbed versions, and labels, plus the AttackSpec that made them."""
-
-    originals: np.ndarray
-    perturbed: np.ndarray
-    labels: np.ndarray
-    spec: AttackSpec
-
-    def __post_init__(self):
-        if self.originals.shape != self.perturbed.shape:
-            raise ShapeMismatchError(
-                f"originals shape {self.originals.shape} != perturbed {self.perturbed.shape}")
-        if len(self.labels) != len(self.originals):
-            raise ShapeMismatchError(
-                f"{len(self.labels)} labels for {len(self.originals)} images")
-
-
 def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
     tensors = {
         "originals": batch.originals,
@@ -175,8 +151,6 @@ def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
 
 def load_adversarial_batch(path) -> AdversarialBatch:
     """Read a QSA1 file; its spec echo is rebuilt as an AttackSpec."""
-    from .attacks import AttackSpec  # attacks imports this module
-
     config_text, tensors = read_container(path, ADVERSARIAL_MAGIC)
     for key in ("originals", "perturbed", "labels"):
         if key not in tensors:

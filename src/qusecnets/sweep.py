@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, fgsm_signs, fgsm_step, generate_batch
+from .attacks import AdversarialBatch, AttackSpec, fgsm_signs, fgsm_step, generate_batch
 from .errors import BadConfigError, DataError
 from .evaluate import EvalReport, evaluate, predict_all
 from .model import Model, ModelConfig, build_model, train
-from .serial import AdversarialBatch, load_weights, save_weights
+from .serial import load_weights, save_weights
 
 
 def _train_key(config: ModelConfig, epochs, batch_size, lr, train_seed, dataset) -> str:
@@ -128,21 +128,18 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
                        events=list(cache.events))
 
 
+# the report's scalar metrics, in field order
+_CSV_METRICS = [f.name for f in fields(EvalReport)
+                if f.name not in ("per_class_accuracy", "config")]
+
+
 def sweep_to_csv(result: SweepResult, path) -> None:
     """One row per (levels, epsilon) cell; diff-friendly chart source."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([
-            "levels", "epsilon", "clean_accuracy", "adv_accuracy",
-            "mean_confidence_correct", "mean_confidence_incorrect",
-            "l2_mean", "linf_max", "l0_mean",
-        ])
+        writer.writerow(["levels", "epsilon", *_CSV_METRICS])
         for row in result.rows:
-            r = row.report
-            writer.writerow([
-                row.levels, row.epsilon, r.clean_accuracy, r.adv_accuracy,
-                r.mean_confidence_correct, r.mean_confidence_incorrect,
-                r.l2_mean, r.linf_max, r.l0_mean,
-            ])
-        writer.writerow(["recommended_levels", result.recommended_levels,
-                         "", "", "", "", "", "", ""])
+            writer.writerow([row.levels, row.epsilon,
+                             *(getattr(row.report, name) for name in _CSV_METRICS)])
+        writer.writerow(["recommended_levels", result.recommended_levels]
+                        + [""] * len(_CSV_METRICS))

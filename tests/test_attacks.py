@@ -26,7 +26,7 @@ from qusecnets.attacks import (
     jsma,
     next_class_targets,
 )
-from qusecnets.errors import BadConfigError, ShapeMismatchError
+from qusecnets.errors import BadConfigError, DivergedError, ShapeMismatchError
 from qusecnets.evaluate import CHUNK, evaluate, predict_all
 from qusecnets.model import Model, build_model, train
 
@@ -374,6 +374,13 @@ def test_cw_objective_mostly_non_increasing(victim):
     _, objectives = _cw_optimize(model, ds.images[:6], pivots, spec)
     increases = (np.diff(objectives, axis=0) > 1e-9).mean()
     assert increases <= 0.05
+
+
+def test_cw_overflowing_objective_is_diverged(victim):
+    model, ds = victim
+    spec = AttackSpec(kind="cw_l2", iterations=3, c=1e308)  # c * a margin past 1.8 is inf
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergedError, match="objective diverged"):
+        generate_batch(model, ds.images[:4], ds.labels[:4], spec)
 
 
 def test_cw_untargeted_pushes_away_from_label(victim):

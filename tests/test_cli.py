@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+import qusecnets
 from qusecnets.cli import cli
 
 SCHEMA = json.loads(
@@ -280,8 +281,30 @@ def test_every_log_line_records_outcome_and_cost(env):
         (0, None), (1, "NoSuchCommand"), (2, "FileNotFoundError")]
     for entry in log:
         assert set(entry) == {"time", "argv", "status", "error_type", "duration_s",
-                              "peak_rss_mb"}
+                              "peak_rss_mb", "version"}
         assert entry["duration_s"] >= 0.0 and entry["peak_rss_mb"] > 0.0
+        assert entry["version"] == qusecnets.__version__
+
+
+def test_unwritable_run_log_leaves_each_command_its_status(env, monkeypatch):
+    monkeypatch.setenv("QSN_RUN_LOG", str(env))  # a directory: the append fails
+    assert cli(["train", "--epochs", "0", "--train-count", "8", "--out", "t.qsn"]) == 0
+    assert cli(["frobnicate"]) == 1
+    assert cli(["evaluate", "--model", "missing.qsn"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--levels", "2,x", "--out", "s.csv"], "bad --levels/--epsilons"),
+    (["attack", "--model", "m.qsn", "--method", "fgsm", "--split", "val", "--out", "a.qsa"],
+     "--split"),
+    (["evaluate", "--model", "m.qsn", "--split", "Train"], "--split"),
+], ids=["sweep-levels", "attack-split", "evaluate-split"])
+def test_malformed_option_values_are_usage_errors_and_log(env, capsys, argv, message):
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"]) == (argv, 1)
 
 
 @pytest.mark.parametrize("argv", [["report", "{dir}"], ["evaluate", "--model", "{dir}"]],

@@ -82,6 +82,23 @@ def test_idx_magic_of_another_rank_or_type(tmp_path, read, magic):
         read(path)
 
 
+@pytest.mark.parametrize("read", [_read_idx_images, _read_idx_labels], ids=["images", "labels"])
+@pytest.mark.parametrize("data", [b"", b"\x00\x00\x08"], ids=["empty", "3-bytes"])
+def test_idx_shorter_than_its_magic_is_truncated(tmp_path, read, data):
+    path = tmp_path / "idx"
+    path.write_bytes(data)
+    with pytest.raises(TruncatedFileError, match="header truncated"):
+        read(path)
+
+
+@pytest.mark.parametrize("split", ["val", "Train", ""])
+@pytest.mark.parametrize("load", [load_mnist, load_cifar10], ids=["mnist", "cifar10"])
+def test_loaders_reject_an_unknown_split(tmp_path, load, split):
+    """Checked before the disk: an empty directory would fail another way."""
+    with pytest.raises(BadConfigError, match="split must be one of"):
+        load(tmp_path, split=split)
+
+
 def test_mnist_count_mismatch(mnist_fixture_dir):
     d, _, _ = mnist_fixture_dir
     write_idx_labels(d / "train-labels-idx1-ubyte", [1, 2])

@@ -1,0 +1,58 @@
+"""The package's modules form layers: top-level imports only, public names only, no cycle."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qusecnets"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _relative_imports(tree):
+    """(node, imported module, imported names) for every relative import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names]
+            if node.module is not None:
+                yield node, node.module, names
+            else:  # `from . import nn` imports the module nn; `__version__` comes from __init__
+                for name in names:
+                    yield node, name if name in MODULES else "__init__", [name]
+
+
+def _edges(module):
+    return {target for _, target, _ in _relative_imports(MODULES[module])}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_relative_imports_sit_at_module_top_level(module):
+    tree = MODULES[module]
+    nested = [node.lineno for node, _, _ in _relative_imports(tree) if node not in tree.body]
+    assert nested == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_private_name_crosses_a_module(module):
+    private = [name for _, _, names in _relative_imports(MODULES[module]) for name in names
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    assert private == []
+
+
+def test_module_graph_has_no_cycle():
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            pytest.fail(f"import cycle: {' -> '.join(path[path.index(module):] + [module])}")
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(_edges(module)):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(MODULES):
+        visit(module)

@@ -124,10 +124,14 @@ MISTYPED_CONFIGS = [
     (dict(architecture=[[5, 4, 3], ["dense", 10]]), ValueError),
     (dict(architecture=[["conv", 0, 3], ["dense", 10]]), ValueError),
     (dict(architecture=[["conv", 4, 3], ["dense", 0]]), ValueError),
+    (dict(input_shape=(0, 8, 1)), BadConfigError),
+    (dict(input_shape=(8, 8)), BadConfigError),
+    (dict(seed=-1), BadConfigError),
 ]
 MISTYPED_IDS = ["conv-filters-str", "dense-width-str", "kernel-bool", "kernel-float",
                 "extent-float", "extent-bool", "seed-bool", "seed-float", "conv-arity",
-                "dense-arity", "kind-int", "filters-zero", "width-zero"]
+                "dense-arity", "kind-int", "filters-zero", "width-zero", "extent-zero",
+                "shape-rank-2", "seed-negative"]
 
 
 @pytest.mark.parametrize("overrides, error", MISTYPED_CONFIGS, ids=MISTYPED_IDS)
@@ -292,6 +296,40 @@ def test_backward_batch_runs_one_of_two_passes(defense):
     probs, cache = model.forward_batch(x, keep_cache=True)
     grads, d_raw = model.backward_batch(cache, d_logits, need_input_grad=True)
     assert grads is None and d_raw.shape == x.shape
+
+
+def test_training_pass_on_a_stale_cache_raises():
+    """Conv row patches live in the pool: the next forward overwrites an older cache's."""
+    model = build_model(replace(TINY_CONFIG, architecture=(
+        ("conv", 3, 3), ("conv", 4, 3), ("dense", 10))))
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.random((2, 3, 8, 8, 1))
+    labels = np.array([0, 1, 2])
+    probs_a, cache_a = model.forward_batch(x_a, keep_cache=True)
+    _, d_logits = model.loss_and_grad_batch(probs_a, labels)
+    _, fresh_d_raw = model.backward_batch(cache_a, d_logits, need_input_grad=True)
+    model.forward_batch(x_b, keep_cache=True)
+    with pytest.raises(ValueError, match="stale cache"):
+        model.backward_batch(cache_a, d_logits)
+    # an input-gradient pass reads nothing pooled from the cache
+    _, d_raw = model.backward_batch(cache_a, d_logits, need_input_grad=True)
+    npt.assert_array_equal(d_raw, fresh_d_raw)
+    # a training pass right after its own forward is the one train runs
+    probs_b, cache_b = model.forward_batch(x_b, keep_cache=True)
+    grads, _ = model.backward_batch(cache_b, model.loss_and_grad_batch(probs_b, labels)[1])
+    assert grads.keys() == model.params.keys()
+
+
+@pytest.mark.parametrize("defense", ["none", "cq", "tq"])
+def test_tensors_are_the_inverse_of_build_model(defense):
+    model = build_model(replace(TINY_CONFIG, defense=defense, levels=3, steepness=5.0))
+    tensors = model.tensors()
+    expected = list(model.params) + ([] if defense == "none" else ["quantizer.thresholds"])
+    assert list(tensors) == expected
+    rebuilt = build_model(model.config, tensors).tensors()
+    assert list(rebuilt) == expected
+    for name in expected:
+        npt.assert_array_equal(rebuilt[name], tensors[name])
 
 
 def test_probability_jacobian_matches_per_class_fd():

@@ -99,6 +99,10 @@ def test_conv_gradients_match_finite_differences():
     (dict(input=np.ones((4, 4, 2)), kernels=np.ones((2, 2, 1, 1)), bias=np.zeros(1)), "Cin"),
     (dict(input=np.ones((2, 2, 1)), kernels=np.ones((3, 3, 1, 1)), bias=np.zeros(1)), "exceeds"),
     (dict(input=np.ones((4, 4, 1)), kernels=np.ones((2, 2, 1, 2)), bias=np.zeros(1)), "bias"),
+    (dict(input=np.ones((4, 4, 1)), kernels=np.ones((2, 2, 1)), bias=np.zeros(1)), "rank 4"),
+    (dict(input=np.ones((4, 4, 1)), kernels=np.ones((2, 3, 1, 1)), bias=np.zeros(1)), "square"),
+    (dict(input=np.ones((4, 4, 1)), kernels=np.ones((2, 2, 1, 1)), bias=np.zeros(1),
+          upstream=np.ones((2, 2, 1))), "upstream"),
 ])
 def test_conv_shape_errors_name_the_dimension(bad, message):
     with pytest.raises(ValueError, match=message):
@@ -143,6 +147,15 @@ def test_dense_gradients_match_finite_differences():
 def test_dense_dimension_mismatch():
     with pytest.raises(ValueError, match="input"):
         nn.dense(np.ones(3), np.ones((2, 4)), np.zeros(2))
+
+
+@pytest.mark.parametrize("W, b, message", [
+    (np.ones(3), np.zeros(3), "rank 2"),
+    (np.ones((2, 3)), np.zeros(3), "bias"),
+], ids=["rank-1-W", "bias-shape"])
+def test_dense_rejects_bad_weight_and_bias_shapes(W, b, message):
+    with pytest.raises(ValueError, match=message):
+        nn.dense(np.ones(3), W, b)
 
 
 def test_batched_dense_gradients_match_finite_differences():
@@ -334,6 +347,11 @@ def test_backprop_delta_identity():
 def test_backprop_delta_single_neuron():
     npt.assert_array_equal(
         nn.backprop_delta(np.array([3.0]), np.array([[2.0]])), [6.0])
+
+
+def test_backprop_delta_row_mismatch():
+    with pytest.raises(ValueError, match="3 rows but deltas length 2"):
+        nn.backprop_delta(np.ones(2), np.ones((3, 4)))
 
 
 def test_backprop_delta_equals_dense_d_input():

@@ -240,6 +240,14 @@ def test_cost_threshold_gradient_end_to_end():
 # update_thresholds
 # ---------------------------------------------------------------------------
 
+def test_threshold_gradients_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="d_cost_dy shape"):
+        threshold_gradients(Quantizer(3, 5.0), np.ones((2, 3)), np.ones((2, 2)))
+    per_pixel = Quantizer(3, 5.0, np.full((2, 2, 1, 2), 0.5))
+    with pytest.raises(ValueError, match="too small for per-pixel"):
+        threshold_gradients(per_pixel, np.ones((2, 1)), np.ones((2, 1)))
+
+
 def test_update_zero_delta_is_noop():
     q = Quantizer(3, 5.0, mode="trainable")
     before = q.thresholds.copy()

@@ -141,7 +141,7 @@ def test_missing_tensor(tmp_path):
     ("dense1.W", {7: -np.inf}),
 ], ids=["nan-threshold", "threshold-outside-unit", "inf-threshold", "nan-bias", "inf-weight"])
 def test_loaded_weights_fail_closed(tmp_path, tq_model, name, entries):
-    tensors = dict(tq_model.params, **{"quantizer.thresholds": tq_model.quantizer.thresholds})
+    tensors = tq_model.tensors()
     tensors[name] = tensors[name].copy()
     for index, value in entries.items():
         tensors[name].flat[index] = value
@@ -177,6 +177,17 @@ def test_adversarial_scalar_tensors_are_shape_errors(tmp_path, scalars):
     path = tmp_path / "adv.qsa"
     path.write_bytes(b"".join(parts))
     with pytest.raises(ShapeMismatchError):
+        load_adversarial_batch(path)
+
+
+@pytest.mark.parametrize("missing", ["originals", "perturbed", "labels"])
+def test_adversarial_file_without_a_tensor_names_it(tmp_path, missing):
+    tensors = {"originals": np.zeros((2, 3)), "perturbed": np.ones((2, 3)),
+               "labels": np.arange(2.0)}
+    del tensors[missing]
+    path = tmp_path / "adv.qsa"
+    write_container(path, b"QSA1", '{"kind":"fgsm"}', tensors)
+    with pytest.raises(ShapeMismatchError, match=f"missing tensor '{missing}'"):
         load_adversarial_batch(path)
 
 

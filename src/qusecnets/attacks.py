@@ -14,11 +14,12 @@ evaluate.evaluate on the victim. Attacks are deterministic given
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import nn
-from .errors import BadConfigError, DivergedError, ShapeMismatchError
+from .errors import BadConfigError, BadTypeError, DivergedError, ShapeMismatchError, checked
 from .model import CHUNK, Model
 
 ATTACK_KINDS = ("fgsm", "jsma", "cw_l2")
@@ -51,34 +52,14 @@ class AttackSpec:
         if self.targeted is None:
             self.targeted = self.kind == "jsma"
         if type(self.targeted) is not bool:
-            raise BadConfigError(f"targeted must be a bool, got {self.targeted!r}")
-        # types before ranges: a .qsa file's spec echo is rebuilt through this check
-        for name, types in _FIELD_TYPES.items():
+            raise BadTypeError(f"targeted must be a bool, got {self.targeted!r}")
+        # a .qsa file's spec echo is rebuilt through these checks
+        for name, kind, ok, rule in _SPEC_NUMBERS:
             value = getattr(self, name)
-            if isinstance(value, np.generic):
-                value = value.item()  # the Python number that json writes
-            if name == "target_class" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, types):
-                what = "an int" if types is int else "a real number"
-                raise BadConfigError(f"{name} must be {what}, got {value!r}")
-            setattr(self, name, value)
+            if value is not None or name != "target_class":
+                setattr(self, name, checked(name, value, kind, ok, rule))
         if self.kind == "jsma" and not self.targeted:
             raise BadConfigError("jsma requires a targeted AttackSpec")
-        # NaN fails every comparison, so each range test rejects it
-        for name, ok, rule in [
-            ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
-            ("iterations", self.iterations >= 0, "non-negative"),
-            ("kappa", 0.0 <= self.kappa < np.inf, "finite and non-negative"),
-            ("c", 0.0 <= self.c < np.inf, "finite and non-negative"),
-            ("theta", 0.0 < self.theta < np.inf, "finite and positive"),
-            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
-            ("step_size", 0.0 < self.step_size < np.inf, "finite and positive"),
-            ("target_class", self.target_class is None or self.target_class >= 0,
-             "non-negative"),
-        ]:
-            if not ok:
-                raise BadConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.kind == "fgsm" and self.targeted:
             raise BadConfigError("targeted fgsm is not supported; fgsm runs untargeted")
         if self.target_class is not None and not self.targeted:
@@ -88,8 +69,17 @@ class AttackSpec:
         return asdict(self)
 
 
-_FIELD_TYPES = {"iterations": int, "target_class": int, **dict.fromkeys(
-    ("epsilon", "kappa", "c", "theta", "gamma", "step_size"), (int, float))}
+# (field, kind, test, rule) for every number an AttackSpec holds
+_SPEC_NUMBERS = [
+    ("epsilon", Real, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("iterations", Integral, lambda v: v >= 0, "non-negative"),
+    ("target_class", Integral, lambda v: v >= 0, "non-negative"),
+    ("kappa", Real, lambda v: 0 <= v < np.inf, "finite and non-negative"),
+    ("c", Real, lambda v: 0 <= v < np.inf, "finite and non-negative"),
+    ("theta", Real, lambda v: 0 < v < np.inf, "finite and positive"),
+    ("gamma", Real, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("step_size", Real, lambda v: 0 < v < np.inf, "finite and positive"),
+]
 
 
 @dataclass

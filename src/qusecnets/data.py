@@ -10,11 +10,19 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadConfigError, BadMagicError, CountMismatchError, DataError, TruncatedFileError
+from .errors import (
+    BadConfigError,
+    BadMagicError,
+    CountMismatchError,
+    DataError,
+    TruncatedFileError,
+    checked,
+)
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -43,8 +51,7 @@ class Dataset:
 
     def subset(self, n: int) -> "Dataset":
         """First n records (deterministic, no sampling); BadConfigError if n < 0."""
-        if n < 0:
-            raise BadConfigError(f"record count must be non-negative, got {n}")
+        n = checked("record count", n, Integral, lambda v: v >= 0, "non-negative")
         return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
 
 

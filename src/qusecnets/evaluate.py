@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 from .attacks import AdversarialBatch
-from .errors import BadConfigError, DataError, ShapeMismatchError
+from .errors import BadConfigError, DataError, ShapeMismatchError, checked
 from .model import CHUNK, Model
 
 
@@ -44,28 +45,22 @@ class EvalReport:
             raise BadConfigError(f"not a JSON object with the fields {', '.join(names)}")
         adv = [d[n] for n in ("adv_accuracy", "l2_mean", "linf_max", "l0_mean")]
         per_class, config = d["per_class_accuracy"], d["config"]
-        valid = [
-            _number(d["clean_accuracy"]),
-            _number(d["mean_confidence_correct"], nullable=True),
-            _number(d["mean_confidence_incorrect"], nullable=True),
-            # evaluate sets these together: all null without an attack
-            all(v is None for v in adv) or all(_number(v) for v in adv),
-            isinstance(per_class, list) and all(_number(v, nullable=True) for v in per_class),
-            isinstance(config, dict) and isinstance(config.get("attack"), (dict, type(None))),
-        ]
-        if not all(valid):
-            raise BadConfigError(
-                "clean_accuracy must be a number, the other metrics numbers or null (the "
-                "adversarial four all or none), per_class_accuracy a list of numbers or nulls, "
-                "and config an object whose attack is null or an object")
+        # evaluate sets the adversarial four together: all null without an attack
+        if not (adv.count(None) in (0, len(adv)) and isinstance(per_class, list)
+                and isinstance(config, dict)
+                and isinstance(config.get("attack"), (dict, type(None)))):
+            raise BadConfigError("the adversarial four metrics must be all numbers or all null, "
+                                 "per_class_accuracy a list, and config an object whose "
+                                 "attack is null or an object")
+        metrics = [(name, d[name]) for name in METRICS]
+        for name, value in metrics + [("per_class_accuracy", v) for v in per_class]:
+            if value is not None or name == "clean_accuracy":  # the one metric never null
+                checked(name, value, Real)
         return cls(**d)
 
 
-def _number(value, nullable: bool = False) -> bool:
-    """value is a JSON number (bools excluded), or null when nullable."""
-    if value is None:
-        return nullable
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# the report's scalar metrics, in field order
+METRICS = tuple(f.name for f in fields(EvalReport) if f.name not in ("per_class_accuracy", "config"))
 
 
 def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):

@@ -12,13 +12,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import nn
-from .errors import BadConfigError, DivergedError, ShapeMismatchError
+from .errors import (
+    BadConfigError,
+    BadTypeError,
+    DivergedError,
+    ShapeMismatchError,
+    checked,
+)
 from .quantize import (
     CONSTANT,
+    THRESHOLDS_KEY,
     TRAINABLE,
     Quantizer,
     linear_thresholds,
@@ -44,13 +52,6 @@ LOSSES = ("mse", "cross_entropy")
 CHUNK = 64
 
 
-def _int(what: str, value) -> int:
-    """value as a Python int; TypeError for bools and non-integers."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an int, got {value!r}")
-    return int(value)
-
-
 def _layer(layer) -> tuple:
     """An architecture entry as ("conv", filters, k) or ("dense", width), checked."""
     layer = tuple(layer)
@@ -60,10 +61,8 @@ def _layer(layer) -> tuple:
     names = _KINDS[kind].FIELDS
     if len(layer) != 1 + len(names):
         raise BadConfigError(f"{kind} layer must be ({kind!r}, {', '.join(names)}), got {layer!r}")
-    values = tuple(_int(f"{kind} {name}", v) for name, v in zip(names, layer[1:]))
-    if any(v <= 0 for v in values):
-        raise BadConfigError(f"{kind} layer values must be positive, got {layer!r}")
-    return (kind,) + values
+    return (kind,) + tuple(checked(f"{kind} {name}", v, Integral, lambda v: v > 0, "positive")
+                           for name, v in zip(names, layer[1:]))
 
 
 class _Conv:
@@ -159,34 +158,27 @@ class ModelConfig:
     per_pixel_thresholds: bool = False
 
     def __post_init__(self):
-        # types hold whatever the defense: canonical_text echoes these
-        # fields, so a wrong type would give a distinct ModelCache key
-        object.__setattr__(self, "input_shape",
-                           tuple(_int("input_shape extent", v) for v in self.input_shape))
-        object.__setattr__(
-            self, "architecture",
-            tuple(_layer(layer) for layer in self.architecture))
-        object.__setattr__(self, "seed", _int("seed", self.seed))
-        object.__setattr__(self, "levels", _int("levels", self.levels))
-        if len(self.input_shape) != 3 or any(v <= 0 for v in self.input_shape):
+        # checked whatever the defense: canonical_text echoes them into the ModelCache key
+        shape = tuple(checked("input_shape extent", v, Integral, lambda v: v > 0, "positive")
+                      for v in self.input_shape)
+        if len(shape) != 3:
             raise BadConfigError(f"input_shape must be 3 positive extents, got {self.input_shape}")
+        object.__setattr__(self, "input_shape", shape)
+        object.__setattr__(self, "architecture", tuple(_layer(a) for a in self.architecture))
+        object.__setattr__(self, "seed", checked("seed", self.seed, Integral,
+                                                 lambda v: v >= 0, "non-negative"))
+        levels = checked("levels", self.levels, Integral, lambda v: 2 <= v <= MAX_LEVELS,
+                         f"in [2, {MAX_LEVELS}]")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "steepness", float(checked(
+            "steepness", self.steepness, Real, lambda v: 0 < v < math.inf, "finite and > 0")))
         if self.defense not in DEFENSES:
             raise BadConfigError(f"defense must be one of {DEFENSES}, got {self.defense!r}")
         if self.loss not in LOSSES:
             raise BadConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if isinstance(self.steepness, bool) or not isinstance(self.steepness, (int, float)):
-            raise TypeError(f"steepness must be a real number, got {self.steepness!r}")
-        object.__setattr__(self, "steepness", float(self.steepness))
         if type(self.per_pixel_thresholds) is not bool:
-            raise TypeError(
+            raise BadTypeError(
                 f"per_pixel_thresholds must be a bool, got {self.per_pixel_thresholds!r}")
-        # whatever the defense: the report echoes levels and steepness
-        if not 2 <= self.levels <= MAX_LEVELS:
-            raise BadConfigError(f"need 2 <= levels <= {MAX_LEVELS}, got {self.levels}")
-        if not 0 < self.steepness < math.inf:  # NaN fails the comparison too
-            raise BadConfigError(f"steepness must be finite and > 0, got {self.steepness!r}")
-        if self.seed < 0:
-            raise BadConfigError("seed must be a non-negative integer")
         _layers(self)  # the shape walk: raises if the architecture does not fit
 
     def canonical_text(self) -> str:
@@ -226,7 +218,7 @@ class Model:
         """Every tensor under its .qsn name, params then thresholds; build_model's inverse."""
         tensors = dict(self.params)
         if self.quantizer is not None:
-            tensors[_QUANT_KEY] = self.quantizer.thresholds
+            tensors[THRESHOLDS_KEY] = self.quantizer.thresholds
         return tensors
 
     # -- forward ------------------------------------------------------------
@@ -325,9 +317,6 @@ class Model:
         return d_raw
 
 
-_QUANT_KEY = "quantizer.thresholds"  # the thresholds' tensor name
-
-
 def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
     """The model a config describes, with seed-determined fresh tensors or the given ones.
 
@@ -340,7 +329,7 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
     shapes = {name: shape for layer in model.layers for name, shape in layer.shapes.items()}
     if config.defense != "none":
         pixels = config.input_shape if config.per_pixel_thresholds else ()
-        shapes[_QUANT_KEY] = pixels + (config.levels - 1,)
+        shapes[THRESHOLDS_KEY] = pixels + (config.levels - 1,)
     if tensors is None:
         rng = np.random.default_rng(config.seed)
         tensors = {}
@@ -349,9 +338,9 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
             limit = np.sqrt(6.0 / sum(layer.fans))
             tensors[w] = rng.uniform(-limit, limit, w_shape)
             tensors[b] = np.zeros(b_shape)
-        if _QUANT_KEY in shapes:
-            tensors[_QUANT_KEY] = np.broadcast_to(linear_thresholds(config.levels),
-                                                  shapes[_QUANT_KEY]).copy()
+        if THRESHOLDS_KEY in shapes:
+            tensors[THRESHOLDS_KEY] = np.broadcast_to(linear_thresholds(config.levels),
+                                                      shapes[THRESHOLDS_KEY]).copy()
     for name, shape in shapes.items():
         if name not in tensors:
             raise ShapeMismatchError(f"missing tensor {name!r}")
@@ -360,13 +349,10 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
                 f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}")
         if not np.all(np.isfinite(tensors[name])):
             raise BadConfigError(f"tensor {name!r} holds a non-finite value")
-    model.params = {name: tensors[name] for name in shapes if name != _QUANT_KEY}
-    if _QUANT_KEY in shapes:
+    model.params = {name: tensors[name] for name in shapes if name != THRESHOLDS_KEY}
+    if THRESHOLDS_KEY in shapes:
         mode = TRAINABLE if config.defense == "tq" else CONSTANT
-        try:
-            model.quantizer = Quantizer(config.levels, config.steepness, tensors[_QUANT_KEY], mode)
-        except ValueError as e:
-            raise BadConfigError(f"tensor {_QUANT_KEY!r}: {e}") from e
+        model.quantizer = Quantizer(config.levels, config.steepness, tensors[THRESHOLDS_KEY], mode)
     return model
 
 
@@ -383,17 +369,17 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
 
     TQ thresholds update each batch right after the weight step; CQ
     thresholds are frozen. Raises on an empty dataset, BadConfigError unless
-    lr is finite and positive, batch_size >= 1 and epochs >= 0, and raises
-    DivergedError naming the batch if the loss goes non-finite.
+    lr is finite and positive, batch_size >= 1, epochs >= 0 and seed >= 0,
+    and raises DivergedError naming the batch if the loss goes non-finite.
     """
     images, labels = np.asarray(train_set.images), np.asarray(train_set.labels)
     n = images.shape[0]
     if n == 0:
         raise ValueError("training dataset is empty")
-    if not 0.0 < lr < np.inf:  # NaN fails the comparison too
-        raise BadConfigError(f"learning rate must be finite and positive, got {lr!r}")
-    if batch_size < 1 or epochs < 0:
-        raise BadConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+    lr = checked("learning rate", lr, Real, lambda v: 0 < v < math.inf, "finite and positive")
+    batch_size = checked("batch_size", batch_size, Integral, lambda v: v >= 1, "at least 1")
+    epochs = checked("epochs", epochs, Integral, lambda v: v >= 0, "non-negative")
+    seed = checked("seed", seed, Integral, lambda v: v >= 0, "non-negative")
     rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
     for epoch in range(epochs):

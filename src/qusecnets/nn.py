@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
+
+from .errors import checked
 
 Tensor = np.ndarray
 
@@ -292,7 +295,7 @@ def cross_entropy(P: Tensor, label: int):
     Returns (cost, d cost/d P).
     """
     P = _as_f64(P)
-    if not 0 <= label < P.shape[-1]:
+    if not 0 <= checked("label", label, Integral) < P.shape[-1]:
         raise ValueError(f"label {label} out of range for {P.shape[-1]} classes")
     p = max(float(P[label]), 1e-12)
     grad = np.zeros_like(P)
@@ -317,15 +320,13 @@ def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:
     grad = _as_f64(grad)
     if param.shape != grad.shape:
         raise ValueError(f"sgd_update shape mismatch: {param.shape} vs {grad.shape}")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    lr = checked("learning rate", lr, Real, lambda v: 0 < v < math.inf, "finite and positive")
     return param - lr * grad
 
 
 def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:
     """Central-difference gradient of scalar f at x, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = checked("step h", h, Real, lambda v: 0 < v < math.inf, "finite and positive")
     x = _as_f64(x).copy()
     grad = np.zeros_like(x)
     flat = x.reshape(-1)

@@ -9,20 +9,23 @@ levels. Thresholds are either one shared (n-1,) vector or a per-pixel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import nn
+from .errors import BadConfigError, checked
 
 CONSTANT = "constant"
 TRAINABLE = "trainable"
+THRESHOLDS_KEY = "quantizer.thresholds"  # the thresholds' tensor name in a weight file
 
 
 def linear_thresholds(n: int) -> np.ndarray:
     """Evenly spaced thresholds t_k = k/n for k = 1..n-1."""
-    if n < 2:
-        raise ValueError(f"need at least 2 quantization levels, got {n}")
+    n = checked("levels", n, Integral, lambda v: v >= 2, "at least 2")
     return np.arange(1, n, dtype=np.float64) / n
 
 
@@ -36,21 +39,19 @@ class Quantizer:
     mode: str = CONSTANT
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError(f"need at least 2 quantization levels, got {self.levels}")
-        if self.steepness <= 0:
-            raise ValueError(f"steepness must be positive, got {self.steepness}")
+        self.levels = checked("levels", self.levels, Integral, lambda v: v >= 2, "at least 2")
+        self.steepness = checked("steepness", self.steepness, Real,
+                                 lambda v: 0 < v < math.inf, "finite and positive")
         if self.mode not in (CONSTANT, TRAINABLE):
-            raise ValueError(f"mode must be '{CONSTANT}' or '{TRAINABLE}', got {self.mode!r}")
+            raise BadConfigError(f"mode must be '{CONSTANT}' or '{TRAINABLE}', got {self.mode!r}")
         if self.thresholds is None:
             self.thresholds = linear_thresholds(self.levels)
         self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        if self.thresholds.shape[-1] != self.levels - 1:
-            raise ValueError(
-                f"thresholds last axis must be n-1={self.levels - 1}, "
-                f"got shape {self.thresholds.shape}")
+        if self.thresholds.shape[-1:] != (self.levels - 1,):
+            raise BadConfigError(f"{THRESHOLDS_KEY} last axis must be n-1={self.levels - 1}, "
+                                 f"got shape {self.thresholds.shape}")
         if not np.all((self.thresholds >= 0.0) & (self.thresholds <= 1.0)):  # NaN fails too
-            raise ValueError("thresholds must lie in [0, 1]")
+            raise BadConfigError(f"{THRESHOLDS_KEY} must lie in [0, 1]")
 
     @property
     def trainable(self) -> bool:
@@ -94,7 +95,7 @@ def _threshold_slopes(x: np.ndarray, q: Quantizer) -> np.ndarray:
 
 def quantize_grad_threshold(x, q: Quantizer, k: int) -> np.ndarray:
     """d quantize/d t_k per pixel; k is the 0-based index into the thresholds vector."""
-    if not 0 <= k < q.levels - 1:
+    if not 0 <= checked("threshold index", k, Integral) < q.levels - 1:
         raise ValueError(f"threshold index {k} out of range 0..{q.levels - 2}")
     return _threshold_slopes(np.asarray(x, dtype=np.float64), q)[..., k]
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attacks import AdversarialBatch, AttackSpec, fgsm_signs, fgsm_step, generate_batch
 from .errors import BadConfigError, DataError
-from .evaluate import EvalReport, evaluate, predict_all
+from .evaluate import METRICS, EvalReport, evaluate, predict_all
 from .model import Model, ModelConfig, build_model, train
 from .serial import load_weights, save_weights
 
@@ -128,18 +128,13 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
                        events=list(cache.events))
 
 
-# the report's scalar metrics, in field order
-_CSV_METRICS = [f.name for f in fields(EvalReport)
-                if f.name not in ("per_class_accuracy", "config")]
-
-
 def sweep_to_csv(result: SweepResult, path) -> None:
     """One row per (levels, epsilon) cell; diff-friendly chart source."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["levels", "epsilon", *_CSV_METRICS])
+        writer.writerow(["levels", "epsilon", *METRICS])
         for row in result.rows:
             writer.writerow([row.levels, row.epsilon,
-                             *(getattr(row.report, name) for name in _CSV_METRICS)])
+                             *(getattr(row.report, name) for name in METRICS)])
         writer.writerow(["recommended_levels", result.recommended_levels]
-                        + [""] * len(_CSV_METRICS))
+                        + [""] * len(METRICS))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .errors import BadConfigError, BadTypeError, DivergedError, ShapeMismatchError, checked
-from .model import CHUNK, Model
+from .model import CHUNK, Model, check_labels
 
 ATTACK_KINDS = ("fgsm", "jsma", "cw_l2")
 
@@ -183,11 +183,12 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
     (see _top_pair). Stops at success, the iteration cap, or once
     gamma * pixel-count pixels have been modified. One batch-1 forward per
     image state serves the success check, the gradient and the final
-    scoring. true_label is the image's label; target_class must differ
-    from it, and success means the prediction reaches target_class.
-    AttackSpec rejects untargeted jsma specs.
+    scoring. true_label is the image's label; target_class must be one of
+    the model's classes other than it, and success means the prediction
+    reaches target_class. AttackSpec rejects untargeted jsma specs.
     """
-    if target_class == true_label:
+    target_class = _class_index("target_class", target_class, model)
+    if target_class == _class_index("true_label", true_label, model):
         raise BadConfigError("jsma target_class must differ from the true label")
     x = np.asarray(x, dtype=np.float64)
     n_pixels = x.size
@@ -219,6 +220,11 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
         probs, cache = model.forward_batch(x_adv[None], keep_cache=True)
     return _finish(x_adv, probs[0], true_label, pred_before, iterations,
                    target_class=target_class)
+
+
+def _class_index(name: str, value, model: Model) -> int:
+    return checked(name, value, Integral, lambda v: 0 <= v < model.num_classes,
+                   f"a class index in [0, {model.num_classes})")
 
 
 def _top_pair(alpha: np.ndarray, eligible: np.ndarray):
@@ -320,11 +326,15 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
                    spec: AttackSpec) -> AdversarialBatch:
     """Attack a whole set of images and package the result for evaluation.
 
-    BadConfigError, before any pass, if spec.target_class equals a label.
+    Before any pass: DataError unless every label is one of the model's
+    classes, and BadConfigError unless spec.target_class is one of them
+    and equals no label.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
-    if spec.target_class is not None and np.any(labels == spec.target_class):
+    check_labels(labels, model.num_classes)
+    if spec.target_class is not None and np.any(
+            labels == _class_index("target_class", spec.target_class, model)):
         raise BadConfigError(f"target_class {spec.target_class} equals an image's label")
     targets = (np.full(len(labels), spec.target_class) if spec.target_class is not None
                else next_class_targets(labels, model.num_classes))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from numbers import Real
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .attacks import AdversarialBatch
 from .errors import BadConfigError, DataError, ShapeMismatchError, checked
-from .model import CHUNK, Model
+from .model import CHUNK, Model, check_labels
 
 
 @dataclass
@@ -35,7 +36,7 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        """Parse report JSON; BadConfigError unless it has the fields and types to_json writes."""
+        """Parse report JSON; BadConfigError unless its fields, types and ranges are to_json's."""
         try:
             d = json.loads(text)
         except ValueError as e:  # JSONDecodeError is a ValueError
@@ -55,7 +56,10 @@ class EvalReport:
         metrics = [(name, d[name]) for name in METRICS]
         for name, value in metrics + [("per_class_accuracy", v) for v in per_class]:
             if value is not None or name == "clean_accuracy":  # the one metric never null
-                checked(name, value, Real)
+                if name in ("l2_mean", "linf_max"):  # distances; the rest are shares
+                    checked(name, value, Real, lambda v: 0 <= v < math.inf, "finite and >= 0")
+                else:
+                    checked(name, value, Real, lambda v: 0 <= v <= 1, "in [0, 1]")
         return cls(**d)
 
 
@@ -90,13 +94,6 @@ def _accuracy_bits(probs: np.ndarray, labels: np.ndarray):
     return preds == labels, probs[np.arange(len(probs)), preds]
 
 
-def _check_labels(labels, num_classes: int):
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(
-            f"labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
-
-
 def _mean_or_none(values: np.ndarray):
     return float(values.mean()) if values.size else None
 
@@ -110,9 +107,9 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
     predict_all(model, dataset.images); it spares the clean forward pass
     when one model is evaluated against several adversarial batches.
     """
-    _check_labels(dataset.labels, model.num_classes)
+    check_labels(dataset.labels, model.num_classes)
     if adversarial is not None:
-        _check_labels(adversarial.labels, model.num_classes)
+        check_labels(adversarial.labels, model.num_classes)
     if clean_probs is None:
         clean_probs = predict_all(model, dataset.images)
     elif clean_probs.shape != (len(dataset), model.num_classes):

@@ -20,6 +20,7 @@ from . import nn
 from .errors import (
     BadConfigError,
     BadTypeError,
+    DataError,
     DivergedError,
     ShapeMismatchError,
     checked,
@@ -50,6 +51,16 @@ LOSSES = ("mse", "cross_entropy")
 # Images per forward pass. The GEMM results depend on the batch shape, so every
 # pass whose probabilities must equal predict_all's (attacks.fgsm_signs) uses it.
 CHUNK = 64
+
+
+def check_labels(labels, num_classes: int) -> None:
+    """DataError unless labels are integers in [0, num_classes), the model's class indices."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or (
+            labels.size and (labels.min() < 0 or labels.max() >= num_classes)):
+        span = f"{labels.min()}..{labels.max()}" if labels.size else "none"
+        raise DataError(
+            f"labels must lie in [0, {num_classes}) as integers, got {labels.dtype} {span}")
 
 
 def _layer(layer) -> tuple:
@@ -368,9 +379,11 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
     """Mini-batch SGD on the configured loss; returns (model, per-epoch trace).
 
     TQ thresholds update each batch right after the weight step; CQ
-    thresholds are frozen. Raises on an empty dataset, BadConfigError unless
-    lr is finite and positive, batch_size >= 1, epochs >= 0 and seed >= 0,
-    and raises DivergedError naming the batch if the loss goes non-finite.
+    thresholds are frozen. Before any pass: raises on an empty dataset,
+    BadConfigError unless lr is finite and positive, batch_size >= 1,
+    epochs >= 0 and seed >= 0, and DataError unless every label is one of
+    the model's classes. Raises DivergedError naming the batch if the loss
+    goes non-finite.
     """
     images, labels = np.asarray(train_set.images), np.asarray(train_set.labels)
     n = images.shape[0]
@@ -380,6 +393,7 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
     batch_size = checked("batch_size", batch_size, Integral, lambda v: v >= 1, "at least 1")
     epochs = checked("epochs", epochs, Integral, lambda v: v >= 0, "non-negative")
     seed = checked("seed", seed, Integral, lambda v: v >= 0, "non-negative")
+    check_labels(labels, model.num_classes)
     rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
     for epoch in range(epochs):

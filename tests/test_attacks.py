@@ -26,7 +26,7 @@ from qusecnets.attacks import (
     jsma,
     next_class_targets,
 )
-from qusecnets.errors import BadConfigError, DivergedError, ShapeMismatchError
+from qusecnets.errors import BadConfigError, DataError, DivergedError, ShapeMismatchError
 from qusecnets.evaluate import CHUNK, evaluate, predict_all
 from qusecnets.model import Model, build_model, train
 
@@ -58,6 +58,12 @@ def test_spec_validation():
     ("iterations", 2.5), ("iterations", True), ("iterations", "3"), ("target_class", 1.0),
     ("target_class", False), ("epsilon", "abc"), ("epsilon", True), ("c", None),
     ("step_size", [0.1]),
+    # numpy bools, None, NaN, inf and negatives: one rule (errors.checked) for every field
+    ("epsilon", np.bool_(True)), ("epsilon", np.inf), ("epsilon", -0.1), ("iterations", None),
+    ("iterations", np.bool_(True)), ("iterations", -3), ("iterations", np.nan),
+    ("kappa", "1"), ("kappa", np.inf), ("c", np.nan), ("theta", np.nan), ("theta", -1.0),
+    ("gamma", None), ("gamma", np.nan), ("step_size", np.bool_(False)), ("step_size", -0.01),
+    ("target_class", 2.5), ("target_class", "1"), ("target_class", np.bool_(True)),
 ])
 def test_spec_rejects_out_of_range_values_as_bad_config(field, value):
     with pytest.raises(BadConfigError, match=field):
@@ -239,6 +245,42 @@ def test_jsma_deterministic(victim):
     a = jsma(model, ds.images[4], (true + 1) % 10, spec, true_label=true)
     b = jsma(model, ds.images[4], (true + 1) % 10, spec, true_label=true)
     npt.assert_array_equal(a.perturbed, b.perturbed)
+
+
+@pytest.mark.parametrize("kind", ["jsma", "cw_l2"])
+def test_target_class_past_the_classes_fails_before_any_pass(victim, monkeypatch, kind):
+    # a target past the classes must not reach an index into the logits
+    model, ds = victim
+    counter = PassCounter(monkeypatch)
+    spec = AttackSpec(kind=kind, targeted=True, target_class=12)
+    with pytest.raises(BadConfigError, match="target_class"):
+        generate_batch(model, ds.images[:8], ds.labels[:8], spec)
+    assert counter.forward_images == 0 and counter.input_grad_rows == 0
+
+
+@pytest.mark.parametrize("kind", ["fgsm", "jsma", "cw_l2"])
+@pytest.mark.parametrize("bad_label", [-1, 10], ids=["negative", "num-classes"])
+def test_labels_past_the_classes_fail_before_any_pass(victim, monkeypatch, kind, bad_label):
+    # checked where the labels enter, not by evaluate after the attack has run
+    model, ds = victim
+    counter = PassCounter(monkeypatch)
+    labels = ds.labels[:8].copy()
+    labels[2] = bad_label
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
+        generate_batch(model, ds.images[:8], labels, AttackSpec(kind=kind))
+    assert counter.forward_images == 0 and counter.input_grad_rows == 0
+
+
+@pytest.mark.parametrize("target, true_label", [(-1, 0), (10, 0), (1.0, 0), (1, -1), (2, True)],
+                         ids=["target-negative", "target-num-classes", "target-float",
+                              "label-negative", "label-bool"])
+def test_jsma_rejects_a_class_outside_the_model(victim, monkeypatch, target, true_label):
+    # a target of -1 must not run against class 9
+    model, ds = victim
+    counter = PassCounter(monkeypatch)
+    with pytest.raises(BadConfigError):
+        jsma(model, ds.images[0], target, AttackSpec(kind="jsma"), true_label=true_label)
+    assert counter.forward_images == 0
 
 
 def test_jsma_rejects_target_equal_true_label(victim):

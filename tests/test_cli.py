@@ -459,3 +459,24 @@ def test_sweep_cli(env):
               "--loss", "cross_entropy",
               "--cache-dir", str(env / "cache"), "--out", str(out)])
     assert rc == 0
+
+
+def test_train_with_per_pixel_thresholds(env):
+    from qusecnets.serial import load_weights
+
+    assert cli(["train", "--defense", "tq", "--levels", "3", "--z", "5",
+                "--per-pixel-thresholds", "--epochs", "1", "--batch-size", "8",
+                "--train-count", "8", "--out", "pp.qsn"]) == 0
+    model = load_weights(env / "pp.qsn")
+    assert model.config.per_pixel_thresholds
+    assert model.quantizer.thresholds.shape == (28, 28, 1, 2)
+
+
+def test_the_package_version_has_one_owner():
+    # the run log records qusecnets.__version__; pyproject.toml reads the same attribute
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qusecnets.__version__"}

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import TINY_CONFIG, blob_dataset, max_rel_err
 from qusecnets import nn
-from qusecnets.errors import BadConfigError, ShapeMismatchError
+from qusecnets.errors import BadConfigError, BadTypeError, DataError, ShapeMismatchError
 from qusecnets.model import ModelConfig, build_model, train
 from qusecnets.quantize import quantize
 
@@ -127,11 +127,33 @@ MISTYPED_CONFIGS = [
     (dict(input_shape=(0, 8, 1)), BadConfigError),
     (dict(input_shape=(8, 8)), BadConfigError),
     (dict(seed=-1), BadConfigError),
+    # every number goes through errors.checked: BadTypeError for a wrong type
+    # (numpy bools and non-integral floats included), BadConfigError for a bad value
+    (dict(seed=np.bool_(True)), BadTypeError),
+    (dict(seed=None), BadTypeError),
+    (dict(levels=np.bool_(True)), BadTypeError),
+    (dict(levels=None), BadTypeError),
+    (dict(levels="1"), BadTypeError),
+    (dict(levels=2.5), BadTypeError),
+    (dict(levels=np.nan), BadTypeError),
+    (dict(levels=-1), BadConfigError),
+    (dict(steepness=np.bool_(True)), BadTypeError),
+    (dict(steepness=None), BadTypeError),
+    (dict(steepness=np.inf), BadConfigError),
+    (dict(steepness=-5.0), BadConfigError),
+    (dict(input_shape=(8, np.bool_(True), 1)), BadTypeError),
+    (dict(architecture=[["conv", 4, 3], ["dense", None]]), BadTypeError),
+    (dict(architecture=[["conv", -4, 3], ["dense", 10]]), BadConfigError),
+    (dict(per_pixel_thresholds=np.bool_(True)), BadTypeError),
 ]
 MISTYPED_IDS = ["conv-filters-str", "dense-width-str", "kernel-bool", "kernel-float",
                 "extent-float", "extent-bool", "seed-bool", "seed-float", "conv-arity",
                 "dense-arity", "kind-int", "filters-zero", "width-zero", "extent-zero",
-                "shape-rank-2", "seed-negative"]
+                "shape-rank-2", "seed-negative", "seed-numpy-bool", "seed-none",
+                "levels-numpy-bool", "levels-none", "levels-str", "levels-fraction",
+                "levels-nan", "levels-negative", "steepness-numpy-bool", "steepness-none",
+                "steepness-inf", "steepness-negative", "extent-numpy-bool", "width-none",
+                "filters-negative", "per-pixel-numpy-bool"]
 
 
 @pytest.mark.parametrize("overrides, error", MISTYPED_CONFIGS, ids=MISTYPED_IDS)
@@ -408,12 +430,35 @@ def test_train_rejects_empty_and_bad_lr():
     ({"lr": 0.0}, "learning rate"), ({"lr": -0.1}, "learning rate"),
     ({"lr": np.nan}, "learning rate"), ({"lr": np.inf}, "learning rate"),
     ({"batch_size": 0}, "batch_size"), ({"epochs": -1}, "epochs"),
+    # bools are not numbers, and an int option takes no fraction
+    ({"lr": True}, "learning rate"), ({"lr": np.bool_(True)}, "learning rate"),
+    ({"lr": "0.1"}, "learning rate"), ({"lr": None}, "learning rate"),
+    ({"batch_size": True}, "batch_size"), ({"batch_size": np.bool_(True)}, "batch_size"),
+    ({"batch_size": "8"}, "batch_size"), ({"batch_size": None}, "batch_size"),
+    ({"batch_size": 2.5}, "batch_size"), ({"batch_size": np.nan}, "batch_size"),
+    ({"batch_size": -2}, "batch_size"), ({"epochs": True}, "epochs"),
+    ({"epochs": 1.5}, "epochs"), ({"epochs": np.inf}, "epochs"), ({"epochs": None}, "epochs"),
+    ({"seed": -1}, "seed"), ({"seed": True}, "seed"), ({"seed": 0.5}, "seed"),
 ])
 def test_train_rejects_out_of_range_options_as_bad_config(kwargs, field):
     model = build_model(TINY_CONFIG)
     before = {name: p.copy() for name, p in model.params.items()}
     with pytest.raises(BadConfigError, match=field):
         train(model, blob_dataset(n_per_class=1), **{"epochs": 1, **kwargs})
+    assert all(np.array_equal(p, before[name]) for name, p in model.params.items())
+
+
+@pytest.mark.parametrize("bad_label", [-1, 10, None], ids=["negative", "num-classes", "float"])
+def test_train_rejects_labels_outside_the_classes_before_any_step(bad_label):
+    # a label of -1 must not train as the last class, nor 10 reach an index
+    model = build_model(TINY_CONFIG)
+    before = {name: p.copy() for name, p in model.params.items()}
+    ds = blob_dataset(n_per_class=1)
+    labels = ds.labels.astype(np.float64) if bad_label is None else ds.labels.copy()
+    if bad_label is not None:
+        labels[3] = bad_label
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 10\)"):
+        train(model, type(ds)(ds.images, labels, ds.name, ds.split), epochs=1)
     assert all(np.array_equal(p, before[name]) for name, p in model.params.items())
 
 

@@ -283,8 +283,8 @@ class Model:
         for i in range(len(self.layers) - 1, -1, -1):
             d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, grads,
                                         need_input=i > 0 or want_bottom_delta)
-        if not need_input_grad:
-            return grads, d
+        if not need_input_grad:  # a TQ delta may be pooled d_input: detach it
+            return grads, None if d is None else d.copy()
         if self.quantizer is not None:
             return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
         return None, d.copy()  # detach from the scratch pool
@@ -332,9 +332,9 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
     """The model a config describes, with seed-determined fresh tensors or the given ones.
 
     Fresh: Glorot-uniform weights, zero biases, k/n thresholds. Given (name ->
-    array, as a .qsn file holds them): used as they are. Each is checked
-    against the shape the config implies first: ShapeMismatchError if it is
-    missing or misshapen, BadConfigError if non-finite or a threshold is outside [0, 1].
+    array, as a .qsn file holds them): taken as float64, the model's dtype. Each
+    is checked against the shape the config implies first: ShapeMismatchError if
+    it is missing or misshapen, BadConfigError if non-finite or a threshold is outside [0, 1].
     """
     model = Model(config, None, {})
     shapes = {name: shape for layer in model.layers for name, shape in layer.shapes.items()}
@@ -352,6 +352,7 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
         if THRESHOLDS_KEY in shapes:
             tensors[THRESHOLDS_KEY] = np.broadcast_to(linear_thresholds(config.levels),
                                                       shapes[THRESHOLDS_KEY]).copy()
+    tensors = {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()}
     for name, shape in shapes.items():
         if name not in tensors:
             raise ShapeMismatchError(f"missing tensor {name!r}")

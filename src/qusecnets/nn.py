@@ -1,6 +1,8 @@
 """Dense-tensor layer ops with explicit forward and gradient paths.
 
-Everything is float64. There is no autodiff graph: each op either runs
+Ops take ndarrays and keep their dtype, by numpy's promotion rules, and
+the model hands them float64; only the convs fix theirs, as they compute
+into float64 scratch. There is no autodiff graph: each op either runs
 forward (``upstream=None``) or returns a LayerGrad holding the gradient of
 the cost w.r.t. its input and parameters, given the upstream gradient
 w.r.t. its output. Ops are pure functions, and each formula exists once.
@@ -47,10 +49,6 @@ class LayerGrad:
     d_params: dict[str, Tensor] = field(default_factory=dict)
 
 
-def _as_f64(x) -> Tensor:
-    return np.asarray(x, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Convolution (valid padding, stride 1)
 # ---------------------------------------------------------------------------
@@ -58,7 +56,7 @@ def _as_f64(x) -> Tensor:
 class BufferPool:
     """Reusable scratch arrays keyed by name; avoids re-faulting big buffers.
 
-    Each key owns one flat float64 buffer, and get returns a view of its
+    Each key owns one flat buffer, and get returns a view of its
     leading elements in the requested shape. The buffer grows when a
     request is larger and never shrinks, so a key serves all of its
     shapes from the memory of the largest. Allocating conv workspaces
@@ -180,9 +178,6 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
     (H-K+1, W-K+1, Cout) output; with upstream of that shape, returns a
     LayerGrad with d_input and d_params {"kernels", "bias"}.
     """
-    input = _as_f64(input)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
     if input.ndim != 3:
         raise ValueError(f"conv2d input must be rank 3 (H,W,Cin), got rank {input.ndim}")
     if kernels.ndim != 4:
@@ -201,7 +196,6 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
     if upstream is None:
         out, _ = conv_forward_batch(batch, kernels, bias)
         return out[0]
-    upstream = _as_f64(upstream)
     oh, ow = h - k + 1, w - k + 1
     if upstream.shape != (oh, ow, cout):
         raise ValueError(
@@ -221,9 +215,6 @@ def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
     With upstream of the output's shape, returns a LayerGrad whose d_params
     sum over the batch and whose d_input is backprop_delta(upstream, W).
     """
-    input = _as_f64(input)
-    W = _as_f64(W)
-    b = _as_f64(b)
     if W.ndim != 2:
         raise ValueError(f"dense W must be rank 2, got rank {W.ndim}")
     m, n = W.shape
@@ -233,7 +224,6 @@ def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
         raise ValueError(f"dense bias must have shape ({m},), got {b.shape}")
     if upstream is None:
         return input @ W.T + b
-    upstream = _as_f64(upstream)
     if upstream.shape != input.shape[:-1] + (m,):
         raise ValueError(
             f"dense upstream must have shape {input.shape[:-1] + (m,)}, got {upstream.shape}")
@@ -246,21 +236,19 @@ def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
 
 def relu(x: Tensor, upstream: Tensor | None = None):
     """Elementwise max(0, x); subgradient at exactly 0 is taken as 0."""
-    x = _as_f64(x)
     if upstream is None:
         return np.maximum(x, 0.0)
-    return LayerGrad(d_input=_as_f64(upstream) * (x > 0.0))
+    return LayerGrad(d_input=upstream * (x > 0.0))
 
 
 def softmax(logits: Tensor, upstream: Tensor | None = None):
     """Max-stabilized softmax over the last axis; backward is softmax_backward_batch."""
-    logits = _as_f64(logits)
     if logits.shape[-1] < 2:
         raise ValueError("softmax needs at least 2 classes")
     p = softmax_batch(logits)
     if upstream is None:
         return p
-    return LayerGrad(d_input=softmax_backward_batch(p, _as_f64(upstream)))
+    return LayerGrad(d_input=softmax_backward_batch(p, upstream))
 
 
 def softmax_batch(logits: Tensor) -> Tensor:
@@ -281,8 +269,6 @@ def mse_cost(P: Tensor, P_truth: Tensor):
     Returns (cost, d cost/d P) with cost the mean of (P - P')^2 over every
     entry, i.e. divided by C, or by N*C for a batch.
     """
-    P = _as_f64(P)
-    P_truth = _as_f64(P_truth)
     if P.shape != P_truth.shape:
         raise ValueError(f"mse_cost shape mismatch: {P.shape} vs {P_truth.shape}")
     diff = P - P_truth
@@ -294,7 +280,6 @@ def cross_entropy(P: Tensor, label: int):
 
     Returns (cost, d cost/d P).
     """
-    P = _as_f64(P)
     if not 0 <= checked("label", label, Integral) < P.shape[-1]:
         raise ValueError(f"label {label} out of range for {P.shape[-1]} classes")
     p = max(float(P[label]), 1e-12)
@@ -305,8 +290,6 @@ def cross_entropy(P: Tensor, label: int):
 
 def backprop_delta(upstream_deltas: Tensor, W: Tensor) -> Tensor:
     """Dense d_input: delta_k = sum_j W_jk delta_j, for (M,) or (B,M) deltas and W (M,N)."""
-    upstream_deltas = _as_f64(upstream_deltas)
-    W = _as_f64(W)
     if W.shape[0] != upstream_deltas.shape[-1]:
         raise ValueError(
             f"backprop_delta: W has {W.shape[0]} rows but deltas length "
@@ -316,8 +299,6 @@ def backprop_delta(upstream_deltas: Tensor, W: Tensor) -> Tensor:
 
 def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:
     """One plain gradient-descent step: param - lr * grad (pure)."""
-    param = _as_f64(param)
-    grad = _as_f64(grad)
     if param.shape != grad.shape:
         raise ValueError(f"sgd_update shape mismatch: {param.shape} vs {grad.shape}")
     lr = checked("learning rate", lr, Real, lambda v: 0 < v < math.inf, "finite and positive")
@@ -325,9 +306,9 @@ def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:
 
 
 def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar f at x, one coordinate at a time."""
+    """Float64 central-difference gradient of scalar f at x, one coordinate at a time."""
     h = checked("step h", h, Real, lambda v: 0 < v < math.inf, "finite and positive")
-    x = _as_f64(x).copy()
+    x = np.array(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)

@@ -22,7 +22,10 @@ def _train_key(config: ModelConfig, epochs, batch_size, lr, train_seed, dataset)
     h.update(f"|{epochs}|{batch_size}|{lr}|{train_seed}".encode())
     h.update(f"|{dataset.name}|{dataset.split}|{len(dataset)}|".encode())
     h.update(dataset.labels.tobytes())
-    h.update(dataset.images.tobytes())
+    images = dataset.images  # hashed as tobytes() would give them, ~1 MB at a time
+    step = max(1, 2**20 // max(1, images[0].nbytes))
+    for s in range(0, len(images), step):
+        h.update(np.ascontiguousarray(images[s:s + step]))
     return h.hexdigest()[:24]
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from jsonschema import validate
 
 import qusecnets
+from qusecnets import cli as cli_module
 from qusecnets.cli import cli
 
 SCHEMA = json.loads(
@@ -480,3 +484,31 @@ def test_the_package_version_has_one_owner():
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qusecnets.__version__"}
+
+
+def test_ctrl_c_exits_1_and_logs_an_abort(env, monkeypatch):
+    def interrupted(data_dir, split):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli_module.LOADERS, "mnist", interrupted)
+    assert cli(["train", "--epochs", "1", "--out", "w.qsn"]) == 1
+    last = _run_log(env)[-1]
+    assert (last["status"], last["error_type"]) == (1, "Abort")
+    assert not (env / "w.qsn").exists()
+
+
+def test_the_documented_module_entry_point(tmp_path):
+    """README runs `python -m qusecnets.cli`: main() turns cli()'s status into the exit code."""
+    src = Path(qusecnets.__file__).resolve().parent.parent
+    env = {**os.environ, "QSN_RUN_LOG": str(tmp_path / "runs.jsonl"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "qusecnets.cli", *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("Usage: ")
+    assert run("report", str(tmp_path / "missing.json")).returncode == 2
+    assert [entry["status"] for entry in _run_log(tmp_path)] == [0, 2]

@@ -497,3 +497,32 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role():
     assert set(bufs) == {f"conv{i}.{role}" for i in range(3)
                          for role in ("rows", "out", "dinput")} | {"part", "up", "drows"}
     assert sum(b.nbytes for b in bufs.values()) == 8 * (per_layer + part + up + drows)
+
+
+def test_a_model_built_from_float32_tensors_computes_in_float64():
+    """build_model and forward_batch own the dtype: float32 inputs are widened on entry."""
+    config = replace(TINY_CONFIG, defense="tq", levels=3, steepness=10.0)
+    narrow = {name: t.astype(np.float32) for name, t in build_model(config).tensors().items()}
+    model32 = build_model(config, narrow)
+    model64 = build_model(config, {name: t.astype(np.float64) for name, t in narrow.items()})
+    assert {t.dtype for t in model32.tensors().values()} == {np.dtype(np.float64)}
+    images = blob_dataset(n_per_class=1).images.astype(np.float32)
+    probs = model32.forward_batch(images)
+    assert probs.dtype == np.float64
+    assert probs.tobytes() == model64.forward_batch(images.astype(np.float64)).tobytes()
+
+
+def test_a_tq_training_pass_returns_a_delta_the_caller_owns():
+    """The quantizer delta survives the next backward pass on the same model."""
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=10.0))
+    ds = blob_dataset(n_per_class=2)
+    deltas = []
+    for batch in (slice(0, 8), slice(8, 16)):
+        probs, cache = model.forward_batch(ds.images[batch], keep_cache=True)
+        _, d_logits = model.loss_and_grad_batch(probs, ds.labels[batch])
+        _, delta = model.backward_batch(cache, d_logits)
+        deltas.append((delta, delta.copy()))
+    (first, first_values), (second, second_values) = deltas
+    assert not np.shares_memory(first, second)
+    npt.assert_array_equal(first, first_values)
+    assert not np.array_equal(first_values, second_values)

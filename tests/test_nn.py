@@ -495,3 +495,31 @@ def test_pooled_conv_matches_unpooled_across_shape_changes():
         hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
             npt.assert_array_equal(a, b)
+
+
+def test_ops_compute_in_the_dtype_they_are_given():
+    rng = np.random.default_rng(0)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    x, W, b, up = f32(3, 5), f32(4, 5), f32(4), f32(3, 4)
+    p = nn.softmax(f32(3, 4))
+    grad = nn.dense(x, W, b, upstream=up)
+    outs = {
+        "dense": nn.dense(x, W, b),
+        "dense d_input": grad.d_input,
+        "dense d_W": grad.d_params["W"],
+        "dense d_b": grad.d_params["b"],
+        "backprop_delta": nn.backprop_delta(up, W),
+        "relu": nn.relu(x),
+        "relu d_input": nn.relu(x, upstream=x).d_input,
+        "softmax": p,
+        "softmax d_input": nn.softmax(p, upstream=up).d_input,
+        "mse_cost d_P": nn.mse_cost(p, up)[1],
+        "sgd_update": nn.sgd_update(W, W, 0.1),
+    }
+    assert {name: out.dtype for name, out in outs.items()} == dict.fromkeys(outs, np.float32)
+    # the reference the gradient checks compare against stays float64
+    fd = nn.finite_difference_gradient(lambda v: float((v * v).sum()), f32(3))
+    assert fd.dtype == np.float64

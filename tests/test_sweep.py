@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import TINY_CONFIG, PassCounter, blob_dataset
 from qusecnets.attacks import AttackSpec, generate_batch
+from qusecnets.data import Dataset
 from qusecnets.evaluate import evaluate
-from qusecnets.sweep import ModelCache, sweep, sweep_to_csv
+from qusecnets.sweep import ModelCache, _train_key, sweep, sweep_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +185,30 @@ def test_bad_epsilon_fails_before_training(sets):
     with pytest.raises(ValueError, match="epsilon"):
         sweep(BASE, [2], [0.1, 1.5], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
     assert cache.events == []
+
+
+@pytest.mark.parametrize("layout", ["c_order", "cifar"])
+def test_the_cache_key_hashes_the_images_without_copying_them(layout):
+    rng = np.random.default_rng(0)
+    if layout == "c_order":
+        images = rng.random((1500, 28, 28, 1))
+    else:  # load_cifar10's images: a channel-planar array viewed as (N,H,W,C)
+        images = rng.random((400, 3, 32, 32)).transpose(0, 2, 3, 1).astype(np.float64)
+        assert not images.flags.c_contiguous
+    ds = Dataset(images, np.arange(len(images)) % 10, "mnist", "train")
+    config = replace(BASE, input_shape=images.shape[1:])
+    tracemalloc.start()
+    try:
+        key = _train_key(config, 2, 32, 0.05, 0, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 4
+    # the key formula before the images were hashed in slices: cache files still hit
+    h = hashlib.sha256()
+    h.update(config.canonical_text().encode())
+    h.update("|2|32|0.05|0".encode())
+    h.update(f"|mnist|train|{len(ds)}|".encode())
+    h.update(ds.labels.tobytes())
+    h.update(ds.images.tobytes())
+    assert key == h.hexdigest()[:24]

@@ -264,7 +264,7 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(w) + 1.0)
 
 
-def _cw_optimize(model: Model, images: np.ndarray, pivots: np.ndarray,
+def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
                  spec: AttackSpec):
     """Shared C&W descent over a batch; returns (perturbed, objective trace).
 
@@ -273,9 +273,7 @@ def _cw_optimize(model: Model, images: np.ndarray, pivots: np.ndarray,
     clipping in tanh space (monotone, so equivalent to the pixel-space
     projection). Trace has shape (iterations, N).
     """
-    x0 = np.asarray(images, dtype=np.float64)
     n = len(x0)
-    pivots = np.asarray(pivots)
     lo = np.maximum(x0 - spec.epsilon, 0.0)
     hi = np.minimum(x0 + spec.epsilon, 1.0)
     w_lo, w_hi = _to_tanh_space(lo), _to_tanh_space(hi)

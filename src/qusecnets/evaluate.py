@@ -105,11 +105,17 @@ def evaluate(model: Model, dataset, adversarial: AdversarialBatch | None = None,
     Confidence and per-class figures describe the adversarial pass when one
     is present, else the clean pass. clean_probs, when given, must be
     predict_all(model, dataset.images); it spares the clean forward pass
-    when one model is evaluated against several adversarial batches.
+    when one model is evaluated against several adversarial batches. The
+    batch must be made from the dataset: ShapeMismatchError unless it has
+    the dataset's length and labels.
     """
     check_labels(dataset.labels, model.num_classes)
     if adversarial is not None:
         check_labels(adversarial.labels, model.num_classes)
+        if not np.array_equal(adversarial.labels, dataset.labels):  # lengths too
+            raise ShapeMismatchError(
+                f"adversarial batch of {len(adversarial.labels)} images does not match "
+                f"the {len(dataset)} images and labels of the dataset")
     if clean_probs is None:
         clean_probs = predict_all(model, dataset.images)
     elif clean_probs.shape != (len(dataset), model.num_classes):

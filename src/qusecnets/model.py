@@ -283,11 +283,9 @@ class Model:
         for i in range(len(self.layers) - 1, -1, -1):
             d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, grads,
                                         need_input=i > 0 or want_bottom_delta)
-        if not need_input_grad:  # a TQ delta may be pooled d_input: detach it
-            return grads, None if d is None else d.copy()
-        if self.quantizer is not None:
+        if need_input_grad and self.quantizer is not None:
             return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
-        return None, d.copy()  # detach from the scratch pool
+        return grads, None if d is None else d.copy()  # detach from the scratch pool
 
     def loss_and_grad_batch(self, probs: np.ndarray, labels: np.ndarray):
         """Mean loss over the batch plus d loss/d logits (via the softmax Jacobian)."""
@@ -335,6 +333,7 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
     array, as a .qsn file holds them): taken as float64, the model's dtype. Each
     is checked against the shape the config implies first: ShapeMismatchError if
     it is missing or misshapen, BadConfigError if non-finite or a threshold is outside [0, 1].
+    Then a tensor the config does not take is a ShapeMismatchError too.
     """
     model = Model(config, None, {})
     shapes = {name: shape for layer in model.layers for name, shape in layer.shapes.items()}
@@ -361,6 +360,9 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
                 f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}")
         if not np.all(np.isfinite(tensors[name])):
             raise BadConfigError(f"tensor {name!r} holds a non-finite value")
+    for name in tensors:
+        if name not in shapes:
+            raise ShapeMismatchError(f"unexpected tensor {name!r}")
     model.params = {name: tensors[name] for name in shapes if name != THRESHOLDS_KEY}
     if THRESHOLDS_KEY in shapes:
         mode = TRAINABLE if config.defense == "tq" else CONSTANT

@@ -71,18 +71,16 @@ def sigmoid_unit(x, t, z):
 
 def _sigmoid_terms(x: np.ndarray, q: Quantizer) -> np.ndarray:
     """Per-threshold sigmoid values, shape x.shape + (n-1,)."""
-    return sigmoid_unit(x[..., None], q.thresholds, q.steepness)
+    return sigmoid_unit(np.expand_dims(x, -1), q.thresholds, q.steepness)
 
 
 def quantize(x, q: Quantizer) -> np.ndarray:
     """Defense forward pass: mean of the n-1 sigmoids, elementwise over x."""
-    x = np.asarray(x, dtype=np.float64)
     return _sigmoid_terms(x, q).mean(axis=-1)
 
 
 def quantize_grad_input(x, q: Quantizer) -> np.ndarray:
     """d quantize/d x per pixel: (z/(n-1)) * sum_k s_k (1 - s_k)."""
-    x = np.asarray(x, dtype=np.float64)
     s = _sigmoid_terms(x, q)
     return (q.steepness / (q.levels - 1)) * np.sum(s * (1.0 - s), axis=-1)
 
@@ -97,7 +95,7 @@ def quantize_grad_threshold(x, q: Quantizer, k: int) -> np.ndarray:
     """d quantize/d t_k per pixel; k is the 0-based index into the thresholds vector."""
     if not 0 <= checked("threshold index", k, Integral) < q.levels - 1:
         raise ValueError(f"threshold index {k} out of range 0..{q.levels - 2}")
-    return _threshold_slopes(np.asarray(x, dtype=np.float64), q)[..., k]
+    return _threshold_slopes(x, q)[..., k]
 
 
 def threshold_gradients(q: Quantizer, d_cost_dy: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -107,8 +105,8 @@ def threshold_gradients(q: Quantizer, d_cost_dy: np.ndarray, x: np.ndarray) -> n
     shape as x). Shared thresholds accumulate every pixel's contribution;
     per-pixel thresholds accumulate only over leading batch axes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    d_cost_dy = np.asarray(d_cost_dy, dtype=np.float64)
+    x = np.asarray(x)
+    d_cost_dy = np.asarray(d_cost_dy)
     if d_cost_dy.shape != x.shape:
         raise ValueError(f"d_cost_dy shape {d_cost_dy.shape} != input shape {x.shape}")
     per_pixel = _threshold_slopes(x, q) * d_cost_dy[..., None]
@@ -130,6 +128,6 @@ def update_thresholds(q: Quantizer, d_cost_dy, x, lr: float) -> Quantizer:
     """
     if not q.trainable:
         raise ValueError("update_thresholds called on a constant-mode quantizer")
-    grad = threshold_gradients(q, np.asarray(d_cost_dy), np.asarray(x))
+    grad = threshold_gradients(q, d_cost_dy, x)
     q.thresholds = np.clip(nn.sgd_update(q.thresholds, grad, lr), 0.0, 1.0)
     return q

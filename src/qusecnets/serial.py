@@ -7,8 +7,10 @@ Layout, all integers little-endian:
 
 Round trips are byte-exact; readers fail with distinct errors for a wrong
 magic, a truncated payload (naming the tensor), and shapes that disagree
-with the embedded config. A weight file holds Model.tensors(); the batch
-type, AdversarialBatch, is defined in attacks and re-exported here.
+with the embedded config. A tensor named twice, or one its reader does not
+take, is a ShapeMismatchError that names it. A weight file holds
+Model.tensors(); the batch type, AdversarialBatch, is defined in attacks
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ def read_container(path, expected_magic: bytes):
     for _ in range(count):
         name_len = r.u32("tensor name length")
         name = r.text(name_len, "tensor name")
+        if name in tensors:
+            raise ShapeMismatchError(f"{path}: tensor {name!r} appears twice")
         rank = r.u32(f"rank of tensor {name!r}")
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"extents of tensor {name!r}"))
         nbytes = 8 * math.prod(shape)  # Python ints: an int64 product can wrap to 0
@@ -152,9 +156,13 @@ def save_adversarial_batch(batch: AdversarialBatch, path) -> None:
 def load_adversarial_batch(path) -> AdversarialBatch:
     """Read a QSA1 file; its spec echo is rebuilt as an AttackSpec."""
     config_text, tensors = read_container(path, ADVERSARIAL_MAGIC)
-    for key in ("originals", "perturbed", "labels"):
+    names = ("originals", "perturbed", "labels")
+    for key in names:
         if key not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {key!r}")
+    for key in tensors:
+        if key not in names:
+            raise ShapeMismatchError(f"{path}: unexpected tensor {key!r}")
     labels = tensors["labels"]
     if labels.ndim != 1 or tensors["originals"].ndim == 0:
         raise ShapeMismatchError(f"{path}: labels must be a vector and originals a batch")

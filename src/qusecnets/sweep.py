@@ -12,7 +12,7 @@ import numpy as np
 from .attacks import AdversarialBatch, AttackSpec, fgsm_signs, fgsm_step, generate_batch
 from .errors import BadConfigError, DataError
 from .evaluate import METRICS, EvalReport, evaluate, predict_all
-from .model import Model, ModelConfig, build_model, train
+from .model import Model, ModelConfig, build_model, check_labels, train
 from .serial import load_weights, save_weights
 
 
@@ -93,8 +93,9 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     set: its probabilities are the clean pass, and its gradient signs serve
     every epsilon. Other attacks run a clean pass, then generate_batch per
     epsilon; every cell, epsilon 0 included, forwards its perturbed images
-    once in evaluate. Every attack spec and model config is checked before
-    any model is trained.
+    once in evaluate. Every attack spec and model config, and the test
+    labels against the configured classes, are checked before any model is
+    trained.
     """
     if not levels or not epsilons:
         raise BadConfigError("levels and epsilons must be non-empty")
@@ -102,6 +103,7 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
         cache = ModelCache()
     specs = [AttackSpec(kind=attack_kind, epsilon=eps) for eps in epsilons]
     configs = [replace(base_config, levels=n) for n in levels]
+    check_labels(test_set.labels, base_config.architecture[-1][1])  # Model.num_classes
     images, labels = np.asarray(test_set.images, dtype=np.float64), test_set.labels
     rows = []
     mean_adv = {}

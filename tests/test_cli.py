@@ -335,6 +335,20 @@ def test_weights_with_nan_threshold_exit_2(env, capsys):
     assert _run_log(env)[-1]["status"] == 2
 
 
+def test_weights_with_an_extra_tensor_exit_2(env, capsys):
+    from qusecnets.model import ModelConfig, build_model
+    from qusecnets.serial import write_container
+
+    model = build_model(ModelConfig(architecture=(("conv", 2, 5), ("dense", 10))))
+    bad = env / "bad.qsn"
+    write_container(bad, b"QSN1", model.config.canonical_text(),
+                    {**model.params, "junk": np.zeros(1)})
+    assert cli(["evaluate", "--model", str(bad), "--count", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "unexpected tensor 'junk'" in err and "Traceback" not in err
+    assert _run_log(env)[-1]["status"] == 2
+
+
 def test_adversarial_labels_past_the_classes_exit_2(env, capsys):
     from qusecnets.model import ModelConfig, build_model
     from qusecnets.attacks import AttackSpec

@@ -164,6 +164,21 @@ def test_evaluate_rejects_budget_violation():
         evaluate(model, ds.subset(4), adversarial=bad)
 
 
+@pytest.mark.parametrize("mismatch", ["fewer-images", "other-labels"])
+def test_evaluate_rejects_a_batch_made_from_other_images(mismatch):
+    model, ds = trained_tiny_model()
+    small = ds.subset(20)
+    if mismatch == "fewer-images":
+        made_from = small.subset(5)
+    else:
+        made_from = type(ds)(ds.images[20:40], ds.labels[20:40], ds.name, ds.split)
+        assert not np.array_equal(made_from.labels, small.labels)
+    batch = generate_batch(model, made_from.images, made_from.labels,
+                           AttackSpec(kind="fgsm", epsilon=0.1))
+    with pytest.raises(ShapeMismatchError, match="does not match"):
+        evaluate(model, small, adversarial=batch)
+
+
 def test_report_round_trip():
     model, ds = trained_tiny_model()
     report = evaluate(model, ds.subset(16))

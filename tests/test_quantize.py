@@ -293,6 +293,39 @@ def test_update_keeps_thresholds_in_unit_interval(n, seed, lr):
     assert np.all(q.thresholds >= 0.0) and np.all(q.thresholds <= 1.0)
 
 
+# the entry points pass x on as given; sigmoid_unit converts it to float64
+X = [[0, 1, 2], [-1, 1, 0]]
+D_Y = [[1, -2, 3], [0, 2, -1]]
+
+
+def _forms(values):
+    """values as a nested list, an int array and a float64 array."""
+    return [values, np.array(values), np.array(values, dtype=np.float64)]
+
+
+def _byte_identical_float64(results):
+    assert all(r.dtype == np.float64 for r in results)
+    assert all(r.shape == results[0].shape and r.tobytes() == results[0].tobytes()
+               for r in results)
+
+
+def test_quantizer_entry_points_take_array_likes():
+    q = Quantizer(3, 5.0)
+    for fn in (lambda x, d: quantize(x, q), lambda x, d: quantize_grad_input(x, q),
+               lambda x, d: quantize_grad_threshold(x, q, 1),
+               lambda x, d: threshold_gradients(q, d, x)):
+        _byte_identical_float64([fn(x, d) for x, d in zip(_forms(X), _forms(D_Y))])
+
+
+def test_update_thresholds_takes_array_likes():
+    stepped = []
+    for x, d in zip(_forms(X), _forms(D_Y)):
+        q = Quantizer(3, 5.0, mode="trainable")
+        update_thresholds(q, d, x, 0.01)
+        stepped.append(q.thresholds)
+    _byte_identical_float64(stepped)
+
+
 def test_quantizer_validation():
     with pytest.raises(ValueError):
         Quantizer(1, 5.0)

@@ -191,6 +191,34 @@ def test_adversarial_file_without_a_tensor_names_it(tmp_path, missing):
         load_adversarial_batch(path)
 
 
+def test_repeated_tensor_name_is_shape_mismatch(tmp_path):
+    # by hand: write_container takes a dict, which cannot hold a name twice
+    parts = [b"QSA1", struct.pack("<II", 1, 2), b"{}", struct.pack("<I", 2)]
+    for value in (1.0, 2.0):
+        parts += [struct.pack("<I", 1), b"a", struct.pack("<II", 1, 1), struct.pack("<d", value)]
+    path = tmp_path / "twice.qsa"
+    path.write_bytes(b"".join(parts))
+    with pytest.raises(ShapeMismatchError, match="tensor 'a' appears twice"):
+        read_container(path, b"QSA1")
+
+
+def test_weight_file_with_an_extra_tensor_names_it(tmp_path, tq_model):
+    path = tmp_path / "m.qsn"
+    write_container(path, b"QSN1", tq_model.config.canonical_text(),
+                    {**tq_model.tensors(), "junk": np.zeros(3)})
+    with pytest.raises(ShapeMismatchError, match="unexpected tensor 'junk'"):
+        load_weights(path)
+
+
+def test_adversarial_file_with_an_extra_tensor_names_it(tmp_path):
+    tensors = {"originals": np.zeros((2, 3)), "perturbed": np.ones((2, 3)),
+               "labels": np.arange(2.0), "junk": np.zeros(2)}
+    path = tmp_path / "adv.qsa"
+    write_container(path, b"QSA1", '{"kind":"fgsm"}', tensors)
+    with pytest.raises(ShapeMismatchError, match="unexpected tensor 'junk'"):
+        load_adversarial_batch(path)
+
+
 def test_adversarial_labels_must_be_a_vector(tmp_path):
     path = tmp_path / "adv.qsa"
     _write_adversarial(path, [[1.0], [2.0]])

@@ -11,6 +11,7 @@ import pytest
 from helpers import TINY_CONFIG, PassCounter, blob_dataset
 from qusecnets.attacks import AttackSpec, generate_batch
 from qusecnets.data import Dataset
+from qusecnets.errors import DataError
 from qusecnets.evaluate import evaluate
 from qusecnets.sweep import ModelCache, _train_key, sweep, sweep_to_csv
 
@@ -184,6 +185,18 @@ def test_bad_epsilon_fails_before_training(sets):
     cache = ModelCache()
     with pytest.raises(ValueError, match="epsilon"):
         sweep(BASE, [2], [0.1, 1.5], "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
+    assert cache.events == []
+
+
+@pytest.mark.parametrize("bad_label", [10, -1])
+def test_bad_test_label_fails_before_training(sets, bad_label):
+    train_set, test_set = sets
+    labels = test_set.labels.copy()
+    labels[0] = bad_label
+    bad_test = Dataset(test_set.images, labels, test_set.name, test_set.split)
+    cache = ModelCache()
+    with pytest.raises(DataError, match="labels must lie in"):
+        sweep(BASE, [2], [0.1], "fgsm", train_set, bad_test, cache=cache, **TRAIN_KW)
     assert cache.events == []
 
 

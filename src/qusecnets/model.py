@@ -218,7 +218,7 @@ class Model:
         self._forwards = 0  # forward passes so far; a cache records its own
 
     def clear_buffers(self):
-        """Drop conv scratch buffers (~0.33 GB for the default stack at batch 64)."""
+        """Drop conv scratch buffers (~0.24 GB for the default stack at batch 64)."""
         self._pool.clear()
 
     @property

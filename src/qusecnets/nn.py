@@ -15,17 +15,22 @@ only serve as references: the conv layer fuses its ReLU (relu's mask,
 applied in place), and the cross-entropy loss goes to d logits in closed
 form (cross_entropy is its d/dP).
 
-The batched conv copies its input k times (one width shift per kernel
-column) into a row-patch matrix and runs one GEMM per kernel row over a
-contiguous block of it, so no k*k patch (im2col) matrix is ever built.
+The batched conv copies its input once, through a window view, into a
+row-patch matrix (one width shift per kernel column) and runs one GEMM
+per kernel row over a contiguous block of it, so no k*k patch (im2col)
+matrix is ever built. The forward runs one tile of output rows at a time
+and the input gradient one tile of input rows, so partial sums stay in
+cache. A tile holds whole image rows, ~TILE_ROWS GEMM rows or more, and
+each element is summed in the untiled order (kernel row ascending, bias
+last, kernel column ascending), so tiling changes no byte.
 
 With a BufferPool, a buffer that outlives its conv call is keyed by layer:
 "<key>.rows" (read by the backward), "<key>.out" (read by the next layer)
 and "<key>.dinput" (read by the layer below). Scratch that dies inside the
-call is keyed by role and shared by every layer: "part" (the forward's
-and the backward's per-kernel-row GEMM result), "up" (the H'-major
-upstream) and "drows" (the row-gradient matrix), each sized to its
-largest layer.
+call is keyed by role and shared by every layer: "part" (one tile's
+per-kernel-row GEMM result, forward and backward) and "drows" (one tile
+of the row-gradient matrix), each sized to its largest tile, and "up"
+(the whole H'-major upstream), sized to its largest layer.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import checked
 
 Tensor = np.ndarray
+TILE_ROWS = 2048  # GEMM rows per conv tile; a row block this large gives the GEMM's bytes
 
 
 @dataclass
@@ -85,6 +92,13 @@ def _take(pool: BufferPool | None, key: str, shape: tuple) -> Tensor:
     return np.empty(shape) if pool is None else pool.get(key, shape)
 
 
+def _tiles(rows: int, stride: int) -> list:
+    """Near-equal [start, stop) tiles of image rows of stride GEMM rows, ~TILE_ROWS or more."""
+    count = max(1, min(rows, rows * stride // TILE_ROWS))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
                        pool: BufferPool | None = None, key: str = "conv"):
     """Valid convolution of a (N,H,W,Cin) batch with (k,k,Cin,Cout) kernels.
@@ -92,7 +106,8 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     Returns (output, rows). rows is the (H*N*W', k*Cin) row-patch matrix:
     row (r, n, j) holds x[n, r, j:j+k, :], so the patches of kernel row ki
     are the contiguous rows [ki*N*W', ki*N*W' + H'*N*W') and the conv is a
-    sum of k GEMMs over those blocks. conv_backward_batch reuses rows.
+    sum of k GEMMs over those blocks, run one tile of output rows at a
+    time. conv_backward_batch reuses rows.
     With a pool, rows and output live in it (output as an (N,H',W',Cout)
     view of H'-major memory): consume both before the next call that
     reuses the same key.
@@ -103,18 +118,19 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     oh, ow = h - k + 1, w - k + 1
     stride, m = n * ow, oh * n * ow
     rows5 = _take(pool, key + ".rows", (h, n, ow, k, cin))
-    x_hmajor = x.transpose(1, 0, 2, 3)
-    for kj in range(k):
-        rows5[:, :, :, kj, :] = x_hmajor[:, :, kj:kj + ow, :]
+    np.copyto(rows5, sliding_window_view(x, k, axis=2).transpose(1, 0, 2, 4, 3))
     rows = rows5.reshape(h * stride, k * cin)
     kern = kernels.reshape(k, k * cin, cout)
     out = _take(pool, key + ".out", (m, cout))
-    np.matmul(rows[:m], kern[0], out=out)
-    part = _take(pool, "part", (m, cout))
-    for ki in range(1, k):
-        np.matmul(rows[ki * stride:ki * stride + m], kern[ki], out=part)
-        out += part
-    out += bias
+    tiles = _tiles(oh, stride)
+    part = _take(pool, "part", (max(b - a for a, b in tiles) * stride, cout))
+    for a, b in tiles:
+        o, p = out[a * stride:b * stride], part[:(b - a) * stride]
+        np.matmul(rows[a * stride:b * stride], kern[0], out=o)
+        for ki in range(1, k):
+            np.matmul(rows[(a + ki) * stride:(b + ki) * stride], kern[ki], out=p)
+            o += p
+        o += bias
     return out.reshape(oh, n, ow, cout).transpose(1, 0, 2, 3), rows
 
 
@@ -127,11 +143,13 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     upstream is (N,H',W',Cout). Returns (d_kernels, d_bias, d_input);
     d_input is None unless need_input (saves the scatter on the first
     layer of an undefended net), d_kernels and d_bias are None unless
-    need_params (input-gradient passes of the attacks). d_input scatters
-    k row-block GEMMs into a row-gradient matrix laid out like rows, then
-    adds its k width shifts; with a pool it lives there (as an (N,H,W,Cin)
-    view of H-major memory): consume it before the next call that reuses
-    the same key.
+    need_params (input-gradient passes of the attacks). d_input is built
+    one tile of input rows at a time: k row-block GEMMs scatter into a tile
+    of a row-gradient matrix laid out like rows, whose k width shifts then
+    add into d_input. The kernel-gradient GEMMs run whole, as tiling their
+    sum over rows would reorder it. With a pool d_input lives there (as an
+    (N,H,W,Cin) view of H-major memory): consume it before the next call
+    that reuses the same key.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
@@ -153,19 +171,27 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_kernels = d_kernels.reshape(kernels.shape)
         d_bias = up.sum(axis=0)
     if need_input:
-        d_rows = _take(pool, "drows", (h * stride, k * cin))
-        np.matmul(up, kern[0].T, out=d_rows[:m])
-        d_rows[m:] = 0.0
-        part = _take(pool, "part", (m, k * cin))
-        for ki in range(1, k):
-            np.matmul(up, kern[ki].T, out=part)
-            d_rows[ki * stride:ki * stride + m] += part
-        d_rows5 = d_rows.reshape(h, n, ow, k, cin)
         d_x = _take(pool, key + ".dinput", (h, n, w, cin))
-        d_x[:, :, :ow] = d_rows5[:, :, :, 0]
-        d_x[:, :, ow:] = 0.0
-        for kj in range(1, k):
-            d_x[:, :, kj:kj + ow] += d_rows5[:, :, :, kj]
+        tiles = _tiles(h, stride)
+        size = max(b - a for a, b in tiles) * stride
+        d_rows = _take(pool, "drows", (size, k * cin))
+        part = _take(pool, "part", (min(size, m), k * cin))  # a GEMM spans <= H' rows
+        for a, b in tiles:  # input rows [a, b) take output row r - ki from kernel row ki
+            d = d_rows[:(b - a) * stride]
+            top = max(min(b, oh) - a, 0) * stride
+            np.matmul(up[a * stride:a * stride + top], kern[0].T, out=d[:top])
+            d[top:] = 0.0
+            for ki in range(1, k):
+                lo, hi = max(a - ki, 0), min(b - ki, oh)
+                if lo < hi:
+                    p = part[:(hi - lo) * stride]
+                    np.matmul(up[lo * stride:hi * stride], kern[ki].T, out=p)
+                    d[(lo + ki - a) * stride:(hi + ki - a) * stride] += p
+            d5, dx = d.reshape(b - a, n, ow, k, cin), d_x[a:b]
+            dx[:, :, :ow] = d5[:, :, :, 0]
+            dx[:, :, ow:] = 0.0
+            for kj in range(1, k):
+                dx[:, :, kj:kj + ow] += d5[:, :, :, kj]
         d_input = d_x.transpose(1, 0, 2, 3)
     return d_kernels, d_bias, d_input
 

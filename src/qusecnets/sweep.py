@@ -92,10 +92,11 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     Per level, FGSM takes one forward and input-gradient pass over the test
     set: its probabilities are the clean pass, and its gradient signs serve
     every epsilon. Other attacks run a clean pass, then generate_batch per
-    epsilon; every cell, epsilon 0 included, forwards its perturbed images
-    once in evaluate. Every attack spec and model config, and the test
-    labels against the configured classes, are checked before any model is
-    trained.
+    epsilon, except JSMA, which ignores epsilon: it runs once per level, and
+    each epsilon's batch carries that epsilon's spec. Every cell, epsilon 0
+    included, forwards its perturbed images once in evaluate. Every attack
+    spec and model config, and the test labels against the configured
+    classes, are checked before any model is trained.
     """
     if not levels or not epsilons:
         raise BadConfigError("levels and epsilons must be non-empty")
@@ -120,7 +121,11 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
                        for spec in specs)
         else:
             clean_probs = predict_all(model, images)
-            batches = (generate_batch(model, images, labels, spec) for spec in specs)
+            if attack_kind == "jsma":  # JSMA ignores epsilon: one attack serves every spec
+                jsma_batch = generate_batch(model, images, labels, specs[0])
+                batches = (replace(jsma_batch, spec=spec) for spec in specs)
+            else:
+                batches = (generate_batch(model, images, labels, spec) for spec in specs)
         accs = []
         for eps, batch in zip(epsilons, batches):
             report = evaluate(model, test_set, adversarial=batch, clean_probs=clean_probs)

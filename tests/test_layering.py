@@ -1,6 +1,10 @@
-"""The package's modules form layers: top-level imports only, public names only, no cycle."""
+"""The package's modules form layers: top-level imports only, public names only, no cycle.
+
+Outside the package they import only the standard library and the declared dependencies.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qusecnets"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
+# the runtime dependencies pyproject.toml declares; everything else is the standard library
+DEPENDENCIES = {"numpy", "click"}
 
 
 def _relative_imports(tree):
@@ -56,3 +62,16 @@ def test_module_graph_has_no_cycle():
 
     for module in sorted(MODULES):
         visit(module)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_imports_only_the_standard_library_and_declared_dependencies(module):
+    imported = []
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append((node.lineno, node.module))
+    outside = [(line, name) for line, name in imported
+               if name.partition(".")[0] not in sys.stdlib_module_names | DEPENDENCIES]
+    assert outside == []

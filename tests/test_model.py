@@ -470,33 +470,47 @@ def test_train_aborts_on_nan_loss_naming_batch():
         train(model, ds, epochs=1, batch_size=8, lr=0.01)
 
 
-def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role():
-    """After a TQ step: rows/out/dinput per conv, and one part/up/drows for all convs."""
+def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
+    """After a TQ step: rows/out/dinput per conv, and one part/up/drows for all convs.
+
+    part and drows hold one tile: a layer of H rows, N*W' GEMM rows each,
+    splits into count = max(1, min(H, H*N*W' // TILE_ROWS)) near-equal
+    tiles of whole rows, output rows forward and input rows backward.
+    """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),
                                        ("dense", 10)), seed=1)
     n = 5
-    rng = np.random.default_rng(0)
-    model = build_model(config)
-    probs, cache = model.forward_batch(rng.random((n, 12, 12, 1)), keep_cache=True)
-    _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
-    model.backward_batch(cache, d_logits)
+    for tile_rows in (nn.TILE_ROWS, 100):  # every layer one tile; several tiles per layer
+        monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
+        rng = np.random.default_rng(0)
+        model = build_model(config)
+        probs, cache = model.forward_batch(rng.random((n, 12, 12, 1)), keep_cache=True)
+        _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
+        model.backward_batch(cache, d_logits)
 
-    per_layer = part = drows = 0
-    h, w, cin = config.input_shape
-    for cout, k in ((4, 3), (6, 3), (5, 2)):
-        oh, ow = h - k + 1, w - k + 1
-        m = oh * n * ow
-        rows = h * n * ow * k * cin
-        per_layer += rows + m * cout + h * n * w * cin  # rows, out, dinput
-        part = max(part, m * cout, m * k * cin)  # forward and backward GEMM parts
-        drows = max(drows, rows)
-        h, w, cin = oh, ow, cout
-    up = m * cout  # only the top conv's upstream (dense's d_input) is re-laid out
-    bufs = model._pool._bufs
-    assert set(bufs) == {f"conv{i}.{role}" for i in range(3)
-                         for role in ("rows", "out", "dinput")} | {"part", "up", "drows"}
-    assert sum(b.nbytes for b in bufs.values()) == 8 * (per_layer + part + up + drows)
+        def tile(rows, stride):  # GEMM rows of the largest tile
+            count = max(1, min(rows, rows * stride // tile_rows))
+            return -(-rows // count) * stride
+
+        per_layer = part = drows = whole = 0
+        h, w, cin = config.input_shape
+        for cout, k in ((4, 3), (6, 3), (5, 2)):
+            oh, ow = h - k + 1, w - k + 1
+            stride, m = n * ow, oh * n * ow
+            per_layer += h * stride * k * cin + m * cout + h * n * w * cin  # rows, out, dinput
+            back = tile(h, stride)
+            # forward and backward GEMM parts; a backward GEMM spans at most H' output rows
+            part = max(part, tile(oh, stride) * cout, min(back, m) * k * cin)
+            drows = max(drows, back * k * cin)
+            whole = max(whole, h * stride * k * cin)
+            h, w, cin = oh, ow, cout
+        up = m * cout  # only the top conv's upstream (dense's d_input) is re-laid out
+        bufs = model._pool._bufs
+        assert set(bufs) == {f"conv{i}.{role}" for i in range(3)
+                             for role in ("rows", "out", "dinput")} | {"part", "up", "drows"}
+        assert sum(b.nbytes for b in bufs.values()) == 8 * (per_layer + part + up + drows)
+        assert drows == whole if tile_rows > 1000 else drows < whole
 
 
 def test_a_model_built_from_float32_tensors_computes_in_float64():

@@ -497,6 +497,47 @@ def test_pooled_conv_matches_unpooled_across_shape_changes():
             npt.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("tile_rows", [nn.TILE_ROWS, 3000])
+def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_rows):
+    """Forward, input-only backward and full backward of a (64,21,21,16) k=6 layer."""
+    rng = np.random.default_rng(15)
+    xs = rng.random((64, 21, 21, 16))
+    kernels = rng.standard_normal((6, 6, 16, 32)) * 0.1
+    bias = rng.standard_normal(32)
+    upstream = rng.standard_normal((64, 16, 16, 32))
+
+    def run():
+        out, rows = nn.conv_forward_batch(xs, kernels, bias)
+        _, _, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape, need_params=False)
+        return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
+
+    monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
+    assert len(nn._tiles(16, 64 * 16)) > 1 and len(nn._tiles(21, 64 * 16)) > 1
+    tiled = run()
+    monkeypatch.setattr(nn, "TILE_ROWS", 10**9)
+    assert len(nn._tiles(16, 64 * 16)) == len(nn._tiles(21, 64 * 16)) == 1
+    for a, b in zip(tiled, run(), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["cin1", "h-major-view"])
+def test_row_patches_equal_a_copy_per_kernel_column(layout):
+    rng = np.random.default_rng(16)
+    if layout == "cin1":
+        xs = rng.standard_normal((3, 9, 8, 1))
+    else:  # a lower conv's output: an (N,H,W,C) view of H-major memory
+        xs = rng.standard_normal((9, 3, 8, 4)).transpose(1, 0, 2, 3)
+        assert not xs.flags.c_contiguous
+    n, h, w, cin = xs.shape
+    k = 3
+    ow = w - k + 1
+    ref = np.empty((h, n, ow, k, cin))
+    for kj in range(k):
+        ref[:, :, :, kj, :] = xs.transpose(1, 0, 2, 3)[:, :, kj:kj + ow, :]
+    _, rows = nn.conv_forward_batch(xs, rng.standard_normal((k, k, cin, 2)), np.zeros(2))
+    assert rows.tobytes() == ref.reshape(h * n * ow, k * cin).tobytes()
+
+
 def test_ops_compute_in_the_dtype_they_are_given():
     rng = np.random.default_rng(0)
 

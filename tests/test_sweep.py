@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,9 @@ from qusecnets.data import Dataset
 from qusecnets.errors import DataError
 from qusecnets.evaluate import evaluate
 from qusecnets.sweep import ModelCache, _train_key, sweep, sweep_to_csv
+
+# the package re-exports the function sweep, which shadows the submodule
+sweep_module = importlib.import_module("qusecnets.sweep")
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +181,30 @@ def test_fgsm_sweep_rows_equal_per_epsilon_attacks(sets, tmp_path):
         model = cache.get_or_train(replace(BASE, levels=row.levels), train_set, **TRAIN_KW)
         batch = generate_batch(model, test_set.images, test_set.labels,
                                AttackSpec(kind="fgsm", epsilon=row.epsilon))
+        assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()
+
+
+def test_jsma_sweep_attacks_once_per_level_and_rows_equal_per_epsilon_attacks(
+        sets, monkeypatch, tmp_path):
+    train_set, test_set = sets
+    cache = ModelCache(tmp_path)
+    epsilons = [0.3, 0.0, 0.1]
+    calls = []
+
+    def counted(model, images, labels, spec):
+        calls.append(spec.epsilon)
+        return generate_batch(model, images, labels, spec)
+
+    monkeypatch.setattr(sweep_module, "generate_batch", counted)
+    result = sweep(BASE, [2, 3], epsilons, "jsma", train_set, test_set,
+                   cache=cache, **TRAIN_KW)
+    assert len(calls) == 2
+    assert [(r.levels, r.epsilon) for r in result.rows] == [
+        (n, eps) for n in (2, 3) for eps in epsilons]
+    for row in result.rows:
+        model = cache.get_or_train(replace(BASE, levels=row.levels), train_set, **TRAIN_KW)
+        batch = generate_batch(model, test_set.images, test_set.labels,
+                               AttackSpec(kind="jsma", epsilon=row.epsilon))
         assert row.report.to_json() == evaluate(model, test_set, adversarial=batch).to_json()
 
 

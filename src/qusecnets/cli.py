@@ -89,8 +89,9 @@ def cmd_train(dataset, data_dir, epochs, batch_size, lr, train_count, out, **fie
     model = build_model(config)
 
     def log(stats):
-        click.echo(f"epoch {stats.epoch}: loss {stats.loss:.6f} "
-                   f"accuracy {stats.accuracy:.4f}")
+        drift = "n/a" if stats.threshold_drift is None else f"{stats.threshold_drift:.6f}"
+        click.echo(f"epoch {stats.epoch}: loss {stats.loss:.6f} accuracy {stats.accuracy:.4f} "
+                   f"time {stats.seconds:.2f} s threshold drift {drift}")
 
     train(model, train_set, epochs=epochs, batch_size=batch_size, lr=lr,
           seed=config.seed, log=log)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -93,19 +94,26 @@ class _Conv:
         self.fans = (k * k * cin, k * k * filters)
 
     def forward(self, a, params: dict, pool, caches: list | None):
-        pre, rows = nn.conv_forward_batch(a, params[self.name + ".kernels"],
-                                          params[self.name + ".bias"], pool=pool, key=self.name)
+        pre, _ = nn.conv_forward_batch(a, params[self.name + ".kernels"],
+                                       params[self.name + ".bias"], pool=pool, key=self.name)
         if caches is not None:
-            caches.append({"rows": rows, "in_shape": a.shape, "mask": pre > 0.0})
+            caches.append({"input": a, "mask": pre > 0.0})
         return np.maximum(pre, 0.0, out=pre)
 
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
         # d is always our own scratch here (the stack ends in dense, so the
         # caller's d_logits was already consumed by a matmul)
         d = np.multiply(d, cache["mask"], out=d)
+        x, kernels = cache["input"], params[self.name + ".kernels"]
+        # the layers above took the pool's rows since the forward: a training
+        # pass rebuilds them from the input; an input-gradient pass reads none
+        rows = nn.row_patches(x, kernels.shape[0], pool, fill=grads is not None)
+        # convs come first (none may follow a dense), so above conv0 the input
+        # is the lower conv's output, dead by now: d_input goes over it
         d_k, d_b, d_in = nn.conv_backward_batch(
-            cache["rows"], params[self.name + ".kernels"], d, cache["in_shape"],
-            need_input=need_input, pool=pool, key=self.name, need_params=grads is not None)
+            rows, kernels, d, x.shape, need_input=need_input, pool=pool, key=self.name,
+            need_params=grads is not None,
+            into=None if self.name == "conv0" else x.transpose(1, 0, 2, 3))
         if grads is not None:
             grads[self.name + ".kernels"] = d_k
             grads[self.name + ".bias"] = d_b
@@ -215,10 +223,10 @@ class Model:
         self.params = params
         self.layers = _layers(config)
         self._pool = nn.BufferPool()
-        self._forwards = 0  # forward passes so far; a cache records its own
+        self._passes = 0  # forward and backward passes so far; a cache records its forward's
 
     def clear_buffers(self):
-        """Drop conv scratch buffers (~0.24 GB for the default stack at batch 64)."""
+        """Drop conv scratch buffers (~0.14 GB for the default stack's TQ training at batch 64)."""
         self._pool.clear()
 
     @property
@@ -237,16 +245,18 @@ class Model:
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
         """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches.
 
-        The conv row patches a cache holds live in the model's scratch pool,
-        so a cache serves a training pass of backward_batch only until the
-        next forward_batch on this model; an input-gradient pass reads none
-        of them and takes any cache.
+        A cache serves one backward_batch. The conv inputs it holds live in
+        the model's scratch pool: the next forward_batch overwrites them, and
+        so does a backward pass, which writes input gradients over them. A
+        training pass, which rebuilds the conv row patches from those inputs,
+        takes only a cache from the last pass on this model; an input-gradient
+        pass reads none of them and takes any cache.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.config.input_shape:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} != configured {self.config.input_shape}")
-        self._forwards += 1
+        self._passes += 1
         a = quantize(x, self.quantizer) if self.quantizer is not None else x
         caches = [] if keep_cache else None
         for layer in self.layers:
@@ -254,7 +264,7 @@ class Model:
         probs = nn.softmax_batch(a)
         if keep_cache:
             return probs, {"raw_input": x, "layers": caches, "logits": a,
-                           "forward": self._forwards}
+                           "pass": self._passes}
         return probs
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -271,11 +281,13 @@ class Model:
         quantizer-output for update_thresholds, None unless the model is TQ.
         An input-gradient pass (need_input_grad=True) computes no parameter
         gradient and returns (None, d_raw_input), chained through the quantizer.
-        A training pass raises ValueError on a cache from an earlier forward
-        pass than the last (see forward_batch).
+        A training pass raises ValueError on a cache from an earlier pass
+        than the last, forward or backward (see forward_batch).
         """
-        if not need_input_grad and cache["forward"] != self._forwards:
-            raise ValueError("training pass on a stale cache: forward_batch ran since it was made")
+        if not need_input_grad and cache["pass"] != self._passes:
+            raise ValueError("training pass on a stale cache: a forward or backward pass "
+                             "ran since it was made")
+        self._passes += 1
         grads = None if need_input_grad else {}
         want_bottom_delta = need_input_grad or (
             self.quantizer is not None and self.quantizer.trainable)
@@ -372,9 +384,17 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
 
 @dataclass
 class EpochStats:
+    """One epoch of train: mean batch loss, training accuracy and wall time.
+
+    threshold_drift is max |t - k/n| over the TQ thresholds after the epoch,
+    how far training moved them from the linear staircase; None unless TQ.
+    """
+
     epoch: int
     loss: float
     accuracy: float
+    seconds: float
+    threshold_drift: float | None
 
 
 def train(model: Model, train_set, epochs: int, batch_size: int = 64,
@@ -399,7 +419,9 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
     check_labels(labels, model.num_classes)
     rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
+    q = model.quantizer
     for epoch in range(epochs):
+        started = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         correct = 0
@@ -417,8 +439,10 @@ def train(model: Model, train_set, epochs: int, batch_size: int = 64,
                 model.params[pname] = nn.sgd_update(model.params[pname], g, lr)
             if quantizer_delta is not None:
                 update_thresholds(model.quantizer, quantizer_delta, cache["raw_input"], lr)
-        stats = EpochStats(epoch=epoch, loss=float(np.mean(losses)),
-                           accuracy=correct / n)
+        drift = (float(np.abs(q.thresholds - linear_thresholds(q.levels)).max())
+                 if q is not None and q.trainable else None)
+        stats = EpochStats(epoch=epoch, loss=float(np.mean(losses)), accuracy=correct / n,
+                           seconds=time.perf_counter() - started, threshold_drift=drift)
         trace.append(stats)
         if log is not None:
             log(stats)

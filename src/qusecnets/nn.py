@@ -21,16 +21,20 @@ per kernel row over a contiguous block of it, so no k*k patch (im2col)
 matrix is ever built. The forward runs one tile of output rows at a time
 and the input gradient one tile of input rows, so partial sums stay in
 cache. A tile holds whole image rows, ~TILE_ROWS GEMM rows or more, and
-each element is summed in the untiled order (kernel row ascending, bias
-last, kernel column ascending), so tiling changes no byte.
+an input-gradient tile also ~TILE_BYTES or more of GEMM rows x
+max(k*Cin, Cout) float64s. Each element is summed in the untiled order
+(kernel row ascending, bias last, kernel column ascending), so tiling
+changes no byte.
 
-With a BufferPool, a buffer that outlives its conv call is keyed by layer:
-"<key>.rows" (read by the backward), "<key>.out" (read by the next layer)
-and "<key>.dinput" (read by the layer below). Scratch that dies inside the
-call is keyed by role and shared by every layer: "part" (one tile's
-per-kernel-row GEMM result, forward and backward) and "drows" (one tile
-of the row-gradient matrix), each sized to its largest tile, and "up"
-(the whole H'-major upstream), sized to its largest layer.
+With a BufferPool, only a conv's output outlives its call in a buffer of
+its own, "<key>.out" (read by the next layer). Every other buffer is keyed
+by role and shared by the layers, sized to the largest request: "rows"
+(the row-patch matrix, rebuilt from the input by a training backward),
+"part" (one tile's per-kernel-row GEMM result, forward and backward),
+"drows" (one tile of the row-gradient matrix) and "up" (the whole
+H'-major upstream). The input gradient goes where the caller says, else
+to "<key>.dinput": the model hands each upper conv the lower conv's
+output, dead by then, and leaves the bottom conv the default.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import checked
 
 Tensor = np.ndarray
-TILE_ROWS = 2048  # GEMM rows per conv tile; a row block this large gives the GEMM's bytes
+TILE_ROWS = 2048  # least GEMM rows per conv tile; a row block this large gives the GEMM's bytes
+TILE_BYTES = 3 << 19  # least bytes per input-gradient tile: TILE_ROWS rows of 96 float64s
 
 
 @dataclass
@@ -92,34 +97,56 @@ def _take(pool: BufferPool | None, key: str, shape: tuple) -> Tensor:
     return np.empty(shape) if pool is None else pool.get(key, shape)
 
 
-def _tiles(rows: int, stride: int) -> list:
-    """Near-equal [start, stop) tiles of image rows of stride GEMM rows, ~TILE_ROWS or more."""
-    count = max(1, min(rows, rows * stride // TILE_ROWS))
+def _tiles(rows: int, stride: int, width: int | None = None) -> list:
+    """Near-equal [start, stop) tiles of image rows of stride GEMM rows each.
+
+    As many tiles as keep each ~TILE_ROWS GEMM rows or more. Given the
+    width of the tile's GEMMs (an input-gradient pass), no more than its
+    bytes need at TILE_BYTES a tile: a skinny layer's tiles cost more in
+    calls than they save in cache there, though its forward gains from them.
+    """
+    count = min(rows, rows * stride // TILE_ROWS)
+    if width is not None:
+        count = min(count, 8 * rows * stride * width // TILE_BYTES)
+    count = max(1, count)
     bounds = [rows * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def row_patches(x: Tensor, k: int, pool: BufferPool | None = None, fill: bool = True) -> Tensor:
+    """The (H*N*W', k*Cin) row-patch matrix of a (N,H,W,Cin) batch for a k-wide kernel.
+
+    Row (r, n, j) holds x[n, r, j:j+k, :], copied once through a window view.
+    With a pool it is the shared "rows" buffer, valid until the next call on
+    the pool that takes it. fill=False takes it unfilled, for a backward
+    that reads no rows.
+    """
+    n, h, w, cin = x.shape
+    ow = w - k + 1
+    rows = _take(pool, "rows", (h, n, ow, k, cin))
+    if fill:
+        np.copyto(rows, sliding_window_view(x, k, axis=2).transpose(1, 0, 2, 4, 3))
+    return rows.reshape(h * n * ow, k * cin)
 
 
 def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
                        pool: BufferPool | None = None, key: str = "conv"):
     """Valid convolution of a (N,H,W,Cin) batch with (k,k,Cin,Cout) kernels.
 
-    Returns (output, rows). rows is the (H*N*W', k*Cin) row-patch matrix:
-    row (r, n, j) holds x[n, r, j:j+k, :], so the patches of kernel row ki
-    are the contiguous rows [ki*N*W', ki*N*W' + H'*N*W') and the conv is a
-    sum of k GEMMs over those blocks, run one tile of output rows at a
-    time. conv_backward_batch reuses rows.
-    With a pool, rows and output live in it (output as an (N,H',W',Cout)
-    view of H'-major memory): consume both before the next call that
-    reuses the same key.
+    Returns (output, rows). rows is row_patches(x, k, pool), so the patches
+    of kernel row ki are the contiguous rows [ki*N*W', ki*N*W' + H'*N*W')
+    and the conv is a sum of k GEMMs over those blocks, run one tile of
+    output rows at a time; conv_backward_batch takes rows. With a pool the
+    output lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major
+    memory), valid until the next call that reuses the key, and rows until
+    the next conv forward on the pool.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
     cout = kernels.shape[3]
     oh, ow = h - k + 1, w - k + 1
     stride, m = n * ow, oh * n * ow
-    rows5 = _take(pool, key + ".rows", (h, n, ow, k, cin))
-    np.copyto(rows5, sliding_window_view(x, k, axis=2).transpose(1, 0, 2, 4, 3))
-    rows = rows5.reshape(h * stride, k * cin)
+    rows = row_patches(x, k, pool)
     kern = kernels.reshape(k, k * cin, cout)
     out = _take(pool, key + ".out", (m, cout))
     tiles = _tiles(oh, stride)
@@ -137,19 +164,20 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
 def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
                         input_shape: tuple, need_input: bool = True,
                         pool: BufferPool | None = None, key: str = "conv",
-                        need_params: bool = True):
-    """Gradients of a valid conv from the forward's row-patch matrix.
+                        need_params: bool = True, into: Tensor | None = None):
+    """Gradients of a valid conv from the row-patch matrix of its input.
 
     upstream is (N,H',W',Cout). Returns (d_kernels, d_bias, d_input);
     d_input is None unless need_input (saves the scatter on the first
     layer of an undefended net), d_kernels and d_bias are None unless
-    need_params (input-gradient passes of the attacks). d_input is built
-    one tile of input rows at a time: k row-block GEMMs scatter into a tile
-    of a row-gradient matrix laid out like rows, whose k width shifts then
-    add into d_input. The kernel-gradient GEMMs run whole, as tiling their
-    sum over rows would reorder it. With a pool d_input lives there (as an
-    (N,H,W,Cin) view of H-major memory): consume it before the next call
-    that reuses the same key.
+    need_params (input-gradient passes of the attacks), and rows is read
+    only for them. d_input is built one tile of input rows at a time: k
+    row-block GEMMs scatter into a tile of a row-gradient matrix laid out
+    like rows, whose k width shifts then add into d_input. The
+    kernel-gradient GEMMs run whole, as tiling their sum over rows would
+    reorder it. d_input is written into `into`, an (H,N,W,Cin) array whose
+    contents are dead, else into a new array or, with a pool, "<key>.dinput";
+    it is returned as an (N,H,W,Cin) view of that H-major memory.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
@@ -171,8 +199,8 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_kernels = d_kernels.reshape(kernels.shape)
         d_bias = up.sum(axis=0)
     if need_input:
-        d_x = _take(pool, key + ".dinput", (h, n, w, cin))
-        tiles = _tiles(h, stride)
+        d_x = _take(pool, key + ".dinput", (h, n, w, cin)) if into is None else into
+        tiles = _tiles(h, stride, max(k * cin, cout))
         size = max(b - a for a, b in tiles) * stride
         d_rows = _take(pool, "drows", (size, k * cin))
         part = _take(pool, "part", (min(size, m), k * cin))  # a GEMM spans <= H' rows

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -90,6 +91,17 @@ def test_train_attack_evaluate_pipeline(env, capsys):
     assert len(lines) == 4
     assert all(l["status"] == 0 for l in lines)
     assert lines[0]["argv"][0] == "train"
+
+
+@pytest.mark.parametrize("defense, drift", [("tq", r"\d\.\d{6}"), ("cq", "n/a")])
+def test_train_prints_each_epochs_time_and_threshold_drift(env, capsys, defense, drift):
+    assert cli(["train", "--defense", defense, "--levels", "3", "--z", "5", "--epochs", "2",
+                "--batch-size", "8", "--lr", "0.5", "--train-count", "16",
+                "--out", str(env / "m.qsn")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for epoch in range(2):
+        assert re.fullmatch(rf"epoch {epoch}: loss \d+\.\d{{6}} accuracy \d\.\d{{4}} "
+                            rf"time \d+\.\d\d s threshold drift {drift}", lines[epoch])
 
 
 def test_evaluate_clean_without_inputs(env):

@@ -321,7 +321,7 @@ def test_backward_batch_runs_one_of_two_passes(defense):
 
 
 def test_training_pass_on_a_stale_cache_raises():
-    """Conv row patches live in the pool: the next forward overwrites an older cache's."""
+    """Conv inputs live in the pool: the next forward overwrites an older cache's."""
     model = build_model(replace(TINY_CONFIG, architecture=(
         ("conv", 3, 3), ("conv", 4, 3), ("dense", 10))))
     rng = np.random.default_rng(8)
@@ -352,6 +352,28 @@ def test_tensors_are_the_inverse_of_build_model(defense):
     assert list(rebuilt) == expected
     for name in expected:
         npt.assert_array_equal(rebuilt[name], tensors[name])
+
+
+def test_kernel_gradients_of_stacked_convs_match_finite_differences():
+    """The layers above overwrite a conv's row patches: a training pass rebuilds them."""
+    rng = np.random.default_rng(4)
+    x = rng.random((4, 8, 8, 1))
+    labels = rng.integers(0, 10, 4)
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0, architecture=(
+        ("conv", 3, 3), ("conv", 4, 2), ("conv", 3, 2), ("dense", 10))))
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    _, d_logits = model.loss_and_grad_batch(probs, labels)
+    grads, _ = model.backward_batch(cache, d_logits)
+    for name in ("conv0.kernels", "conv1.kernels", "conv2.kernels"):
+        kernels = model.params[name]
+
+        def loss(v):
+            model.params[name] = v
+            return model.loss_and_grad_batch(model.forward_batch(x), labels)[0]
+
+        fd = nn.finite_difference_gradient(loss, kernels)
+        model.params[name] = kernels
+        assert max_rel_err(grads[name], fd, floor=1e-3) < 1e-4, name
 
 
 def test_probability_jacobian_matches_per_class_fd():
@@ -414,6 +436,26 @@ def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
     assert any(moved), "trainable thresholds never moved"
 
 
+@pytest.mark.parametrize("defense, per_pixel", [
+    ("none", False), ("cq", False), ("tq", False), ("tq", True)])
+def test_epoch_stats_time_each_epoch_and_give_tq_threshold_drift(defense, per_pixel):
+    ds = blob_dataset(n_per_class=4, seed=2)
+    config = replace(TINY_CONFIG, defense=defense, levels=3, steepness=5.0,
+                     per_pixel_thresholds=per_pixel)
+    model = build_model(config)
+    drifts = []
+
+    def log(stats):
+        t = model.quantizer.thresholds if defense == "tq" else None
+        drifts.append(None if t is None else float(np.abs(t - [1 / 3, 2 / 3]).max()))
+
+    _, trace = train(model, ds, epochs=2, batch_size=16, lr=0.5, seed=0, log=log)
+    assert [s.threshold_drift for s in trace] == drifts
+    assert all(s.seconds > 0.0 for s in trace)
+    if defense == "tq":
+        assert all(d > 0.0 for d in drifts)
+
+
 def test_train_rejects_empty_and_bad_lr():
     from types import SimpleNamespace
 
@@ -462,6 +504,30 @@ def test_train_rejects_labels_outside_the_classes_before_any_step(bad_label):
     assert all(np.array_equal(p, before[name]) for name, p in model.params.items())
 
 
+@pytest.mark.parametrize("first", ["training", "input-gradient"])
+def test_a_cache_serves_one_backward(first):
+    """A backward pass writes input gradients over the conv inputs its cache holds."""
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0,
+                                architecture=(("conv", 3, 3), ("conv", 4, 3), ("dense", 10))))
+    rng = np.random.default_rng(9)
+    x = rng.random((3, 8, 8, 1))
+    labels = np.array([0, 1, 2])
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    _, d_logits = model.loss_and_grad_batch(probs, labels)
+    fresh_grads, _ = model.backward_batch(model.forward_batch(x, keep_cache=True)[1], d_logits)
+    _, fresh_d_raw = model.backward_batch(
+        model.forward_batch(x, keep_cache=True)[1], d_logits, need_input_grad=True)
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    grads, _ = model.backward_batch(cache, d_logits, need_input_grad=first == "input-gradient")
+    if first == "training":
+        for name, g in grads.items():
+            assert g.tobytes() == fresh_grads[name].tobytes()
+    with pytest.raises(ValueError, match="stale cache"):
+        model.backward_batch(cache, d_logits)
+    _, d_raw = model.backward_batch(cache, d_logits, need_input_grad=True)
+    assert d_raw.tobytes() == fresh_d_raw.tobytes()
+
+
 def test_train_aborts_on_nan_loss_naming_batch():
     model = build_model(TINY_CONFIG)
     model.params["dense1.W"][:] = np.nan
@@ -471,45 +537,54 @@ def test_train_aborts_on_nan_loss_naming_batch():
 
 
 def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
-    """After a TQ step: rows/out/dinput per conv, and one part/up/drows for all convs.
+    """After a TQ step: out per conv, conv0's dinput, and one rows/part/up/drows for all convs.
 
     part and drows hold one tile: a layer of H rows, N*W' GEMM rows each,
     splits into count = max(1, min(H, H*N*W' // TILE_ROWS)) near-equal
-    tiles of whole rows, output rows forward and input rows backward.
+    tiles of whole rows, output rows forward and input rows backward, and
+    backward into no more than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES.
+    An upper conv's d_input goes over the lower conv's output.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),
                                        ("dense", 10)), seed=1)
     n = 5
-    for tile_rows in (nn.TILE_ROWS, 100):  # every layer one tile; several tiles per layer
+    # every layer one tile; several forward tiles per layer, and backward tiles
+    # capped by their bytes (conv0's to 1 of 6, conv1's to 2 of 4, conv2's to 1 of 2)
+    for tile_rows, tile_bytes in ((nn.TILE_ROWS, nn.TILE_BYTES), (100, 8 * 100 * 20)):
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
+        monkeypatch.setattr(nn, "TILE_BYTES", tile_bytes)
         rng = np.random.default_rng(0)
         model = build_model(config)
         probs, cache = model.forward_batch(rng.random((n, 12, 12, 1)), keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
         model.backward_batch(cache, d_logits)
 
-        def tile(rows, stride):  # GEMM rows of the largest tile
-            count = max(1, min(rows, rows * stride // tile_rows))
-            return -(-rows // count) * stride
+        def tile(rows, stride, width=None):  # GEMM rows of the largest tile
+            count = min(rows, rows * stride // tile_rows)
+            if width is not None:
+                count = min(count, 8 * rows * stride * width // tile_bytes)
+            return -(-rows // max(1, count)) * stride
 
-        per_layer = part = drows = whole = 0
+        outs = part = drows = whole = 0
         h, w, cin = config.input_shape
+        dinput = h * n * w * cin
         for cout, k in ((4, 3), (6, 3), (5, 2)):
             oh, ow = h - k + 1, w - k + 1
             stride, m = n * ow, oh * n * ow
-            per_layer += h * stride * k * cin + m * cout + h * n * w * cin  # rows, out, dinput
-            back = tile(h, stride)
+            outs += m * cout
+            back = tile(h, stride, max(k * cin, cout))
             # forward and backward GEMM parts; a backward GEMM spans at most H' output rows
             part = max(part, tile(oh, stride) * cout, min(back, m) * k * cin)
             drows = max(drows, back * k * cin)
-            whole = max(whole, h * stride * k * cin)
+            whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
         up = m * cout  # only the top conv's upstream (dense's d_input) is re-laid out
         bufs = model._pool._bufs
-        assert set(bufs) == {f"conv{i}.{role}" for i in range(3)
-                             for role in ("rows", "out", "dinput")} | {"part", "up", "drows"}
-        assert sum(b.nbytes for b in bufs.values()) == 8 * (per_layer + part + up + drows)
+        assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {
+            "conv0.dinput", "rows", "part", "up", "drows"}
+        assert sum(b.nbytes for b in bufs.values()) == 8 * (
+            outs + dinput + whole + part + up + drows)
         assert drows == whole if tile_rows > 1000 else drows < whole
 
 

@@ -483,12 +483,18 @@ def test_pooled_conv_matches_unpooled_across_shape_changes():
         fresh_b, fresh_rows_b = nn.conv_forward_batch(fresh_a, kb, bb)
         fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
         fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
-        # forward A, forward B, backward B, backward A, as Model runs them
-        out_a, rows_a = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
-        out_b, rows_b = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
-        grad_b = nn.conv_backward_batch(rows_b, kb, upstream, mid, pool=pool, key="b")
-        grad_a = nn.conv_backward_batch(rows_a, ka, grad_b[2], shape, pool=pool, key="a")
-        for a, b in zip((out_a, out_b) + grad_b + grad_a,
+        # forward A, forward B, backward B, backward A, as Model runs them: each
+        # training backward refills the shared rows from its input, and B's
+        # input gradient goes over A's output, dead by then
+        out_a, _ = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
+        out_b, _ = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
+        outs = (out_a.copy(), out_b.copy())
+        grad_b = nn.conv_backward_batch(nn.row_patches(out_a, 2, pool), kb, upstream, mid,
+                                        pool=pool, key="b", into=out_a.transpose(1, 0, 2, 3))
+        assert np.shares_memory(grad_b[2], out_a)
+        grad_a = nn.conv_backward_batch(nn.row_patches(xs, 3, pool), ka, grad_b[2], shape,
+                                        pool=pool, key="a")
+        for a, b in zip(outs + grad_b + grad_a,
                         (fresh_a, fresh_b) + fresh_grad_b + fresh_grad_a):
             assert a.tobytes() == b.tobytes()
         # an upstream already laid out H'-major (a lower layer's d_input) is used in place
@@ -512,10 +518,10 @@ def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_r
         return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
 
     monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
-    assert len(nn._tiles(16, 64 * 16)) > 1 and len(nn._tiles(21, 64 * 16)) > 1
+    assert len(nn._tiles(16, 64 * 16)) > 1 and len(nn._tiles(21, 64 * 16, 96)) > 1
     tiled = run()
     monkeypatch.setattr(nn, "TILE_ROWS", 10**9)
-    assert len(nn._tiles(16, 64 * 16)) == len(nn._tiles(21, 64 * 16)) == 1
+    assert len(nn._tiles(16, 64 * 16)) == len(nn._tiles(21, 64 * 16, 96)) == 1
     for a, b in zip(tiled, run(), strict=True):
         assert a.tobytes() == b.tobytes()
 

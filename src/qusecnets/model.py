@@ -94,8 +94,8 @@ class _Conv:
         self.fans = (k * k * cin, k * k * filters)
 
     def forward(self, a, params: dict, pool, caches: list | None):
-        pre, _ = nn.conv_forward_batch(a, params[self.name + ".kernels"],
-                                       params[self.name + ".bias"], pool=pool, key=self.name)
+        pre = nn.conv_forward_batch(a, params[self.name + ".kernels"],
+                                    params[self.name + ".bias"], pool=pool, key=self.name)
         if caches is not None:
             caches.append({"input": a, "mask": pre > 0.0})
         return np.maximum(pre, 0.0, out=pre)
@@ -245,12 +245,10 @@ class Model:
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
         """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches.
 
-        A cache serves one backward_batch. The conv inputs it holds live in
-        the model's scratch pool: the next forward_batch overwrites them, and
-        so does a backward pass, which writes input gradients over them. A
-        training pass, which rebuilds the conv row patches from those inputs,
-        takes only a cache from the last pass on this model; an input-gradient
-        pass reads none of them and takes any cache.
+        A cache serves the one backward_batch that follows it. The conv inputs
+        it holds live in the model's scratch pool: the next forward_batch
+        overwrites them, and so does a backward pass, which writes input
+        gradients over them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.config.input_shape:
@@ -281,11 +279,11 @@ class Model:
         quantizer-output for update_thresholds, None unless the model is TQ.
         An input-gradient pass (need_input_grad=True) computes no parameter
         gradient and returns (None, d_raw_input), chained through the quantizer.
-        A training pass raises ValueError on a cache from an earlier pass
-        than the last, forward or backward (see forward_batch).
+        Either raises ValueError unless the cache is from the last pass on this
+        model: a cache serves the one backward that follows it (see forward_batch).
         """
-        if not need_input_grad and cache["pass"] != self._passes:
-            raise ValueError("training pass on a stale cache: a forward or backward pass "
+        if cache["pass"] != self._passes:
+            raise ValueError("backward pass on a stale cache: a forward or backward pass "
                              "ran since it was made")
         self._passes += 1
         grads = None if need_input_grad else {}

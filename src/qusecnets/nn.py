@@ -133,13 +133,11 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
                        pool: BufferPool | None = None, key: str = "conv"):
     """Valid convolution of a (N,H,W,Cin) batch with (k,k,Cin,Cout) kernels.
 
-    Returns (output, rows). rows is row_patches(x, k, pool), so the patches
-    of kernel row ki are the contiguous rows [ki*N*W', ki*N*W' + H'*N*W')
-    and the conv is a sum of k GEMMs over those blocks, run one tile of
-    output rows at a time; conv_backward_batch takes rows. With a pool the
-    output lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major
-    memory), valid until the next call that reuses the key, and rows until
-    the next conv forward on the pool.
+    In rows = row_patches(x, k, pool) the patches of kernel row ki are the
+    contiguous rows [ki*N*W', ki*N*W' + H'*N*W'), so the conv is a sum of k
+    GEMMs over those blocks, run one tile of output rows at a time. With a
+    pool the output lives in "<key>.out" (as an (N,H',W',Cout) view of
+    H'-major memory), valid until the next call that reuses the key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -158,7 +156,7 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
             np.matmul(rows[(a + ki) * stride:(b + ki) * stride], kern[ki], out=p)
             o += p
         o += bias
-    return out.reshape(oh, n, ow, cout).transpose(1, 0, 2, 3), rows
+    return out.reshape(oh, n, ow, cout).transpose(1, 0, 2, 3)
 
 
 def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
@@ -248,13 +246,13 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
         raise ValueError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
     batch = input[None]
     if upstream is None:
-        out, _ = conv_forward_batch(batch, kernels, bias)
+        out = conv_forward_batch(batch, kernels, bias)
         return out[0]
     oh, ow = h - k + 1, w - k + 1
     if upstream.shape != (oh, ow, cout):
         raise ValueError(
             f"conv2d upstream must have shape {(oh, ow, cout)}, got {upstream.shape}")
-    _, rows = conv_forward_batch(batch, kernels, bias)
+    rows = row_patches(batch, k)
     d_k, d_b, d_in = conv_backward_batch(rows, kernels, upstream[None], batch.shape)
     return LayerGrad(d_input=d_in[0], d_params={"kernels": d_k, "bias": d_b})
 

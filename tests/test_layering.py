@@ -1,6 +1,8 @@
 """The package's modules form layers: top-level imports only, public names only, no cycle.
 
-Outside the package they import only the standard library and the declared dependencies.
+Outside the package they import only the standard library and the declared dependencies,
+and every function, class and method they define is used somewhere in the package, or
+exported, or a CLI command, or a listed exception with its reason.
 """
 
 import ast
@@ -14,6 +16,17 @@ MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 # the runtime dependencies pyproject.toml declares; everything else is the standard library
 DEPENDENCIES = {"numpy", "click"}
+# definitions that no code in the package reaches, and why each stays
+UNREACHED = {
+    "model.Model.predict": "criterion 8 calls it",
+    "model.Model.probability_jacobian":
+        "perfbench/spans.py patches it; ROADMAP item 2 moves it to tests/helpers.py",
+    "nn.conv2d": "criterion 1's body calls it",
+    "nn.relu": "criterion 1's body calls it",
+    "nn.softmax": "criterion 1's body calls it",
+    "nn.cross_entropy": "criterion 1's body calls it",
+    "nn.finite_difference_gradient": "criterion 1's body calls it",
+}
 
 
 def _relative_imports(tree):
@@ -75,3 +88,34 @@ def test_imports_only_the_standard_library_and_declared_dependencies(module):
     outside = [(line, name) for line, name in imported
                if name.partition(".")[0] not in sys.stdlib_module_names | DEPENDENCIES]
     assert outside == []
+
+
+def _definitions(node, prefix):
+    """(node, dotted name) for every function and class under node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield child, name
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_reached_from_the_package():
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = next(ast.literal_eval(node.value) for node in MODULES["__init__"].body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+
+    def exempt(node):
+        return (node.name.startswith("__") and node.name.endswith("__")
+                or node.name in exported
+                or any(isinstance(d, ast.Call) and ast.unparse(d.func) == "group.command"
+                       for d in node.decorator_list))
+
+    unreached = [name for module, tree in MODULES.items()
+                 for node, name in _definitions(tree, module)
+                 if node.name not in used and not exempt(node)]
+    assert sorted(unreached) == sorted(UNREACHED)

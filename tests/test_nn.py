@@ -397,7 +397,7 @@ def test_batched_conv_matches_per_image():
     xs = rng.random((4, 6, 6, 2))
     kernels = rng.standard_normal((3, 3, 2, 5))
     bias = rng.standard_normal(5)
-    batch_out, _ = nn.conv_forward_batch(xs, kernels, bias)
+    batch_out = nn.conv_forward_batch(xs, kernels, bias)
     for i in range(4):
         npt.assert_allclose(batch_out[i], nn.conv2d(xs[i], kernels, bias), atol=1e-12)
 
@@ -408,7 +408,7 @@ def test_batched_conv_backward_sums_per_image_param_grads():
     kernels = rng.standard_normal((2, 2, 2, 3))
     bias = rng.standard_normal(3)
     upstream = rng.standard_normal((3, 4, 4, 3))
-    _, rows = nn.conv_forward_batch(xs, kernels, bias)
+    rows = nn.row_patches(xs, 2)
     d_k, d_b, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape)
     per_image = [nn.conv2d(xs[i], kernels, bias, upstream=upstream[i]) for i in range(3)]
     npt.assert_allclose(d_k, sum(g.d_params["kernels"] for g in per_image), atol=1e-12)
@@ -432,7 +432,8 @@ def test_batched_conv_parity_matrix(n, cin, h, w, k):
     kernels = rng.standard_normal((k, k, cin, cout))
     bias = rng.standard_normal(cout)
     upstream = rng.standard_normal((n, h - k + 1, w - k + 1, cout))
-    out, rows = nn.conv_forward_batch(xs, kernels, bias)
+    out = nn.conv_forward_batch(xs, kernels, bias)
+    rows = nn.row_patches(xs, k)
     refs = [conv2d_naive(xs[i], kernels, bias, upstream=upstream[i]) for i in range(n)]
     for i in range(n):
         npt.assert_allclose(out[i], conv2d_naive(xs[i], kernels, bias), atol=1e-12)
@@ -479,15 +480,16 @@ def test_pooled_conv_matches_unpooled_across_shape_changes():
         xs = rng.standard_normal(shape)
         mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
         upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
-        fresh_a, fresh_rows_a = nn.conv_forward_batch(xs, ka, ba)
-        fresh_b, fresh_rows_b = nn.conv_forward_batch(fresh_a, kb, bb)
+        fresh_a = nn.conv_forward_batch(xs, ka, ba)
+        fresh_b = nn.conv_forward_batch(fresh_a, kb, bb)
+        fresh_rows_a, fresh_rows_b = nn.row_patches(xs, 3), nn.row_patches(fresh_a, 2)
         fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
         fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
         # forward A, forward B, backward B, backward A, as Model runs them: each
         # training backward refills the shared rows from its input, and B's
         # input gradient goes over A's output, dead by then
-        out_a, _ = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
-        out_b, _ = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
+        out_a = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
+        out_b = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
         outs = (out_a.copy(), out_b.copy())
         grad_b = nn.conv_backward_batch(nn.row_patches(out_a, 2, pool), kb, upstream, mid,
                                         pool=pool, key="b", into=out_a.transpose(1, 0, 2, 3))
@@ -513,7 +515,8 @@ def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_r
     upstream = rng.standard_normal((64, 16, 16, 32))
 
     def run():
-        out, rows = nn.conv_forward_batch(xs, kernels, bias)
+        out = nn.conv_forward_batch(xs, kernels, bias)
+        rows = nn.row_patches(xs, 6)
         _, _, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape, need_params=False)
         return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
 
@@ -540,7 +543,7 @@ def test_row_patches_equal_a_copy_per_kernel_column(layout):
     ref = np.empty((h, n, ow, k, cin))
     for kj in range(k):
         ref[:, :, :, kj, :] = xs.transpose(1, 0, 2, 3)[:, :, kj:kj + ow, :]
-    _, rows = nn.conv_forward_batch(xs, rng.standard_normal((k, k, cin, 2)), np.zeros(2))
+    rows = nn.row_patches(xs, k)
     assert rows.tobytes() == ref.reshape(h * n * ow, k * cin).tobytes()
 
 

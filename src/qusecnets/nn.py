@@ -26,11 +26,31 @@ max(k*Cin, Cout) float64s. Each element is summed in the untiled order
 (kernel row ascending, bias last, kernel column ascending), so tiling
 changes no byte.
 
+BLAS packs and blocks a GEMM's two operands differently (Goto & van de
+Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3),
+2008), so C and C.T of one product run at different speeds. With 2 OpenBLAS
+threads (scipy-openblas 0.3.31) on a 2-core x86 box, the default stack's
+batch-64 kernel-gradient GEMMs ran 19% (conv1) and 24% (conv2) faster
+into a (Cout, k*Cin) result than into (k*Cin, Cout), so every layer's
+kernel-row gradient runs as up.T @ rows and is transposed into place
+(conv0's, at k*Cin 8, ran ~7% slower, ~0.2 ms a kernel row). Forward tiles
+of conv1/conv2 (k*Cin 384/640, 2048-2304 rows) ran 13-14% faster as
+(Cout, tile) than as (tile, Cout); skinny or short tiles gained 6% or
+less, or lost up to 8% (k*Cin 96-192 at 2048 rows; k*Cin 384/640 at 256
+or 400 rows). So a layer of k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM
+rows runs its forward as (Cout, tile) GEMMs (a wide layer), and every
+other layer as (tile, Cout). The kernel gradient keeps its bytes. The
+wide forward keeps the add order, but where a tile's GEMM row count is
+not a multiple of 8 BLAS's edge kernels may round it apart from the
+narrow one at rounding level.
+
 With a BufferPool, only a conv's output outlives its call in a buffer of
 its own, "<key>.out" (read by the next layer). Every other buffer is keyed
 by role and shared by the layers, sized to the largest request: "rows"
 (the row-patch matrix, rebuilt from the input by a training backward),
-"part" (one tile's per-kernel-row GEMM result, forward and backward),
+"part" (one tile's per-kernel-row GEMM result in a narrow forward and the
+input gradient, a wide forward's (Cout, tile) sum, or one kernel row's
+(Cout, k*Cin) gradient),
 "drows" (one tile of the row-gradient matrix) and "up" (the whole
 H'-major upstream). The input gradient goes where the caller says, else
 to "<key>.dinput": the model hands each upper conv the lower conv's
@@ -51,6 +71,7 @@ from .errors import checked
 Tensor = np.ndarray
 TILE_ROWS = 2048  # least GEMM rows per conv tile; a row block this large gives the GEMM's bytes
 TILE_BYTES = 3 << 19  # least bytes per input-gradient tile: TILE_ROWS rows of 96 float64s
+WIDE_DEPTH = 256  # least k*Cin of a forward that runs its GEMMs as (Cout, tile)
 
 
 @dataclass
@@ -135,9 +156,14 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
 
     In rows = row_patches(x, k, pool) the patches of kernel row ki are the
     contiguous rows [ki*N*W', ki*N*W' + H'*N*W'), so the conv is a sum of k
-    GEMMs over those blocks, run one tile of output rows at a time. With a
-    pool the output lives in "<key>.out" (as an (N,H',W',Cout) view of
-    H'-major memory), valid until the next call that reuses the key.
+    GEMMs over those blocks, run one tile of output rows at a time. A
+    narrow layer sums (tile, Cout) GEMMs in the output tile; a wide one
+    (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows) sums (Cout, tile)
+    GEMMs in "part", computing all but the first into the output tile
+    (dead until then, and contiguous as (Cout, tile)), and writes the
+    sum's transpose plus the bias into the tile. With a pool the output
+    lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major memory),
+    valid until the next call that reuses the key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -149,13 +175,23 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     out = _take(pool, key + ".out", (m, cout))
     tiles = _tiles(oh, stride)
     part = _take(pool, "part", (max(b - a for a, b in tiles) * stride, cout))
-    for a, b in tiles:
-        o, p = out[a * stride:b * stride], part[:(b - a) * stride]
-        np.matmul(rows[a * stride:b * stride], kern[0], out=o)
-        for ki in range(1, k):
-            np.matmul(rows[(a + ki) * stride:(b + ki) * stride], kern[ki], out=p)
-            o += p
-        o += bias
+    if k * cin < WIDE_DEPTH or m < TILE_ROWS:
+        for a, b in tiles:
+            o, p = out[a * stride:b * stride], part[:(b - a) * stride]
+            np.matmul(rows[a * stride:b * stride], kern[0], out=o)
+            for ki in range(1, k):
+                np.matmul(rows[(a + ki) * stride:(b + ki) * stride], kern[ki], out=p)
+                o += p
+            o += bias
+    else:  # (Cout, tile) GEMMs; the output tile, dead until the bias add, holds all but the first
+        for a, b in tiles:
+            o, t = out[a * stride:b * stride], (b - a) * stride
+            acc, p = part[:t].reshape(cout, t), o.reshape(cout, t)
+            np.matmul(kern[0].T, rows[a * stride:b * stride].T, out=acc)
+            for ki in range(1, k):
+                np.matmul(kern[ki].T, rows[(a + ki) * stride:(b + ki) * stride].T, out=p)
+                acc += p
+            np.add(acc.T, bias, out=o)
     return out.reshape(oh, n, ow, cout).transpose(1, 0, 2, 3)
 
 
@@ -173,7 +209,9 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     row-block GEMMs scatter into a tile of a row-gradient matrix laid out
     like rows, whose k width shifts then add into d_input. The
     kernel-gradient GEMMs run whole, as tiling their sum over rows would
-    reorder it. d_input is written into `into`, an (H,N,W,Cin) array whose
+    reorder it, one kernel row at a time as a (Cout, k*Cin) up.T @ rows
+    into "part", whose transpose is copied into d_kernels; d_kernels owns
+    its memory. d_input is written into `into`, an (H,N,W,Cin) array whose
     contents are dead, else into a new array or, with a pool, "<key>.dinput";
     it is returned as an (N,H,W,Cin) view of that H-major memory.
     """
@@ -192,8 +230,10 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     d_kernels = d_bias = d_input = None
     if need_params:
         d_kernels = np.empty(kern.shape)
+        p = _take(pool, "part", (cout, k * cin))
         for ki in range(k):
-            np.matmul(rows[ki * stride:ki * stride + m].T, up, out=d_kernels[ki])
+            np.matmul(up.T, rows[ki * stride:ki * stride + m], out=p)
+            d_kernels[ki] = p.T
         d_kernels = d_kernels.reshape(kernels.shape)
         d_bias = up.sum(axis=0)
     if need_input:

@@ -543,6 +543,9 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
     splits into count = max(1, min(H, H*N*W' // TILE_ROWS)) near-equal
     tiles of whole rows, output rows forward and input rows backward, and
     backward into no more than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES.
+    A wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows) takes
+    one (Cout, tile) plane of part, as a narrow one takes one (tile, Cout),
+    and the kernel gradient one (Cout, k*Cin) kernel row.
     An upper conv's d_input goes over the lower conv's output.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
@@ -550,10 +553,16 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
                                        ("dense", 10)), seed=1)
     n = 5
     # every layer one tile; several forward tiles per layer, and backward tiles
-    # capped by their bytes (conv0's to 1 of 6, conv1's to 2 of 4, conv2's to 1 of 2)
-    for tile_rows, tile_bytes in ((nn.TILE_ROWS, nn.TILE_BYTES), (100, 8 * 100 * 20)):
+    # capped by their bytes (conv0's to 1 of 6, conv1's to 2 of 4, conv2's to 1 of 2);
+    # and conv0 (k*Cin 3, 500 GEMM rows) forward as a wide layer in one tile,
+    # every backward in one tile
+    for tile_rows, tile_bytes, wide_depth, split in (
+            (nn.TILE_ROWS, nn.TILE_BYTES, nn.WIDE_DEPTH, False),
+            (100, 8 * 100 * 20, nn.WIDE_DEPTH, True),
+            (500, nn.TILE_BYTES, 3, False)):
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
         monkeypatch.setattr(nn, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(nn, "WIDE_DEPTH", wide_depth)
         rng = np.random.default_rng(0)
         model = build_model(config)
         probs, cache = model.forward_batch(rng.random((n, 12, 12, 1)), keep_cache=True)
@@ -574,8 +583,9 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             stride, m = n * ow, oh * n * ow
             outs += m * cout
             back = tile(h, stride, max(k * cin, cout))
-            # forward and backward GEMM parts; a backward GEMM spans at most H' output rows
-            part = max(part, tile(oh, stride) * cout, min(back, m) * k * cin)
+            # forward, kernel-gradient and input-gradient GEMM parts; an
+            # input-gradient GEMM spans at most H' output rows
+            part = max(part, tile(oh, stride) * cout, cout * k * cin, min(back, m) * k * cin)
             drows = max(drows, back * k * cin)
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
@@ -585,7 +595,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             "conv0.dinput", "rows", "part", "up", "drows"}
         assert sum(b.nbytes for b in bufs.values()) == 8 * (
             outs + dinput + whole + part + up + drows)
-        assert drows == whole if tile_rows > 1000 else drows < whole
+        assert drows < whole if split else drows == whole
 
 
 def test_a_model_built_from_float32_tensors_computes_in_float64():

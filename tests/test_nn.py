@@ -529,6 +529,68 @@ def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_r
         assert a.tobytes() == b.tobytes()
 
 
+def _conv_layers(shape, stack):
+    """(H, W, Cin, Cout, k) of each conv of a stack of (Cout, k) on an (H, W, Cin) input."""
+    h, w, cin = shape
+    for cout, k in stack:
+        yield h, w, cin, cout, k
+        h, w, cin = h - k + 1, w - k + 1, cout
+
+
+# the default stack at both dataset shapes, the quarter stack and the tiny stack
+STACKS = {
+    "default-28x28x1": ((28, 28, 1), ((64, 8), (128, 6), (128, 5))),
+    "default-32x32x3": ((32, 32, 3), ((64, 8), (128, 6), (128, 5))),
+    "quarter": ((28, 28, 1), ((16, 8), (32, 6), (32, 5))),
+    "tiny": ((8, 8, 1), ((4, 3), (4, 2), (4, 2))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64])
+@pytest.mark.parametrize("stack", STACKS)
+def test_kernel_gradient_keeps_its_bytes_and_owns_its_memory(stack, n):
+    """Each kernel row's (Cout, k*Cin) GEMM, transposed, gives the bytes of rows_block.T @ up."""
+    rng = np.random.default_rng(n)
+    pool = nn.BufferPool()
+    for h, w, cin, cout, k in _conv_layers(*STACKS[stack]):
+        xs = rng.random((n, h, w, cin))
+        kernels = rng.standard_normal((k, k, cin, cout))
+        oh, ow = h - k + 1, w - k + 1
+        upstream = rng.standard_normal((n, oh, ow, cout))
+        rows = nn.row_patches(xs, k, pool)
+        d_k, _, _ = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
+                                           need_input=False, pool=pool)
+        stride, m = n * ow, oh * n * ow
+        up = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(m, cout)
+        ref = np.stack([rows[ki * stride:ki * stride + m].T @ up for ki in range(k)])
+        assert d_k.tobytes() == ref.reshape(d_k.shape).tobytes()
+        # a view of pooled scratch would be overwritten by the next layer's backward
+        assert not any(np.shares_memory(d_k, buf) for buf in pool._bufs.values())
+
+
+@pytest.mark.parametrize("layer, n, exact", [(1, 64, True), (2, 64, True), (2, 63, False)],
+                         ids=["conv1-64", "conv2-64", "conv2-63"])
+def test_a_wide_forward_gives_the_bytes_of_the_narrow_one(monkeypatch, layer, n, exact):
+    """The default stack's conv1/conv2 forward at batch 64 (train_tq's shapes), and conv2 at 63.
+
+    At 63 a tile's GEMM row count is not a multiple of 8, so BLAS runs its
+    edge kernels and the two orientations may round apart.
+    """
+    h, w, cin, cout, k = list(_conv_layers(*STACKS["default-28x28x1"]))[layer]
+    rng = np.random.default_rng([layer, n])
+    xs = rng.random((n, h, w, cin))
+    kernels = rng.standard_normal((k, k, cin, cout)) * 0.1
+    bias = rng.standard_normal(cout)
+    assert k * cin >= nn.WIDE_DEPTH and n * (h - k + 1) * (w - k + 1) >= nn.TILE_ROWS
+    wide = nn.conv_forward_batch(xs, kernels, bias)
+    monkeypatch.setattr(nn, "WIDE_DEPTH", 10**9)
+    narrow = nn.conv_forward_batch(xs, kernels, bias)
+    if exact:
+        assert wide.tobytes() == narrow.tobytes()
+    else:
+        npt.assert_allclose(wide, narrow, rtol=1e-12)
+
+
 @pytest.mark.parametrize("layout", ["cin1", "h-major-view"])
 def test_row_patches_equal_a_copy_per_kernel_column(layout):
     rng = np.random.default_rng(16)

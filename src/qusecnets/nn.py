@@ -24,7 +24,7 @@ cache. A tile holds whole image rows, ~TILE_ROWS GEMM rows or more, and
 an input-gradient tile also ~TILE_BYTES or more of GEMM rows x
 max(k*Cin, Cout) float64s. Each element is summed in the untiled order
 (kernel row ascending, bias last, kernel column ascending), so tiling
-changes no byte.
+changes no byte of a backward or of a narrow layer's forward (below).
 
 BLAS packs and blocks a GEMM's two operands differently (Goto & van de
 Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3),
@@ -35,14 +35,18 @@ into a (Cout, k*Cin) result than into (k*Cin, Cout), so every layer's
 kernel-row gradient runs as up.T @ rows and is transposed into place
 (conv0's, at k*Cin 8, ran ~7% slower, ~0.2 ms a kernel row). Forward tiles
 of conv1/conv2 (k*Cin 384/640, 2048-2304 rows) ran 13-14% faster as
-(Cout, tile) than as (tile, Cout); skinny or short tiles gained 6% or
-less, or lost up to 8% (k*Cin 96-192 at 2048 rows; k*Cin 384/640 at 256
-or 400 rows). So a layer of k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM
-rows runs its forward as (Cout, tile) GEMMs (a wide layer), and every
-other layer as (tile, Cout). The kernel gradient keeps its bytes. The
-wide forward keeps the add order, but where a tile's GEMM row count is
-not a multiple of 8 BLAS's edge kernels may round it apart from the
-narrow one at rounding level.
+(Cout, tile) than as (tile, Cout), so a layer of k*Cin >= WIDE_DEPTH over
+>= TILE_ROWS GEMM rows runs its forward as (Cout, tile) GEMMs (a wide
+layer), and every other layer as (tile, Cout). Skinny and short tiles
+lost up to 8% a GEMM when wide (k*Cin 96-160 at 2048 rows; 384/640 at
+256-400 rows, batch-1 JSMA's). End to end, over 10 alternating benchmark
+pairs each, every layer wide ran the quarter stack's FGSM sweep 15%
+slower (9 pairs of 10), and dropping the row limit ran JSMA on 32x32x3
+4% slower (8 of 10). The kernel gradient keeps its bytes. The wide
+forward keeps the add order, but where a tile's GEMM row count is not a
+multiple of 8 BLAS's edge kernels may round part of the tile apart, at
+rounding level, from the narrow forward and from a tiling that puts
+those rows elsewhere.
 
 With a BufferPool, only a conv's output outlives its call in a buffer of
 its own, "<key>.out" (read by the next layer). Every other buffer is keyed
@@ -50,11 +54,10 @@ by role and shared by the layers, sized to the largest request: "rows"
 (the row-patch matrix, rebuilt from the input by a training backward),
 "part" (one tile's per-kernel-row GEMM result in a narrow forward and the
 input gradient, a wide forward's (Cout, tile) sum, or one kernel row's
-(Cout, k*Cin) gradient),
-"drows" (one tile of the row-gradient matrix) and "up" (the whole
-H'-major upstream). The input gradient goes where the caller says, else
-to "<key>.dinput": the model hands each upper conv the lower conv's
-output, dead by then, and leaves the bottom conv the default.
+(Cout, k*Cin) gradient), "drows" (one tile of the row-gradient matrix)
+and "up" (the whole H'-major upstream). The input gradient goes where the
+caller says, else to "<key>.dinput": the model hands each upper conv the
+lower conv's output, dead by then, and leaves the bottom conv the default.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import checked
 
 Tensor = np.ndarray
-TILE_ROWS = 2048  # least GEMM rows per conv tile; a row block this large gives the GEMM's bytes
+TILE_ROWS = 2048  # least GEMM rows per conv tile; a narrow tile this large gives the GEMM's bytes
 TILE_BYTES = 3 << 19  # least bytes per input-gradient tile: TILE_ROWS rows of 96 float64s
 WIDE_DEPTH = 256  # least k*Cin of a forward that runs its GEMMs as (Cout, tile)
 

@@ -413,6 +413,20 @@ def test_training_is_deterministic():
     assert [t.loss for t in a[1]] == [t.loss for t in b[1]]
 
 
+@pytest.mark.parametrize("config, side", [(TINY_CONFIG, 8), (ModelConfig(seed=0), 28)],
+                         ids=["tiny", "default"])
+def test_trained_parameters_stay_c_contiguous(config, side):
+    """Kernel gradients are transposed views; the weights they step must not be.
+
+    A non-C-contiguous kernel would make every conv forward copy it to
+    reshape it to (k, k*Cin, Cout). Batch 64 puts the default conv1/conv2
+    forwards on the wide side.
+    """
+    model = build_model(config)
+    train(model, blob_dataset(n_per_class=7, side=side), epochs=1, batch_size=64, lr=0.01)
+    assert all(p.flags.c_contiguous for p in model.params.values())
+
+
 def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
     ds = blob_dataset(n_per_class=4, seed=2)
     cq = build_model(replace(TINY_CONFIG, defense="cq", levels=3,
@@ -544,8 +558,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
     tiles of whole rows, output rows forward and input rows backward, and
     backward into no more than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES.
     A wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows) takes
-    one (Cout, tile) plane of part, as a narrow one takes one (tile, Cout),
-    and the kernel gradient one (Cout, k*Cin) kernel row.
+    one (Cout, tile) plane of part, as a narrow one takes one (tile, Cout).
     An upper conv's d_input goes over the lower conv's output.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
@@ -583,9 +596,9 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             stride, m = n * ow, oh * n * ow
             outs += m * cout
             back = tile(h, stride, max(k * cin, cout))
-            # forward, kernel-gradient and input-gradient GEMM parts; an
-            # input-gradient GEMM spans at most H' output rows
-            part = max(part, tile(oh, stride) * cout, cout * k * cin, min(back, m) * k * cin)
+            # forward and input-gradient GEMM parts; an input-gradient GEMM
+            # spans at most H' output rows
+            part = max(part, tile(oh, stride) * cout, min(back, m) * k * cin)
             drows = max(drows, back * k * cin)
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout

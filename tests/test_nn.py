@@ -548,7 +548,7 @@ STACKS = {
 @pytest.mark.parametrize("n", [1, 63])
 @pytest.mark.parametrize("stack", STACKS)
 def test_kernel_gradient_keeps_its_bytes_and_owns_its_memory(stack, n):
-    """Each kernel row's (Cout, k*Cin) GEMM, transposed, gives the bytes of rows_block.T @ up."""
+    """Each kernel row's GEMM, into a transposed view, gives the bytes of rows_block.T @ up."""
     rng = np.random.default_rng(n)
     pool = nn.BufferPool()
     for h, w, cin, cout, k in _conv_layers(*STACKS[stack]):

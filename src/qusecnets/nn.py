@@ -41,16 +41,22 @@ narrow forward. Where a wide tile's GEMM row count is not a multiple of
 from the narrow forward and from a tiling that puts those rows elsewhere.
 
 With a BufferPool, only a conv's output outlives its call in a buffer of
-its own, "<key>.out" (read by the next layer). Every other buffer is keyed
-by role and shared by the layers, sized to the largest request: "rows"
-(the row-patch matrix, rebuilt from the input by a training backward),
-"part" (one tile's per-kernel-row GEMM result in a narrow forward and the
-input gradient, or a wide forward's (Cout, tile) sum), "drows" (one tile
-of the row-gradient matrix) and "up" (the whole H'-major upstream). The
-kernel gradient takes no scratch: its GEMMs write into the d_kernels it
-returns. The input gradient goes where the caller says, else to
-"<key>.dinput": the model hands each upper conv the lower conv's output,
-dead by then, and leaves the bottom conv the default.
+its own, "<key>.out" (read by the next layer). Two buffers are keyed by
+role and shared by the layers, sized to the largest request. "part" holds
+one forward tile's per-kernel-row GEMM result in a narrow layer, or a
+wide layer's (Cout, tile) sum. "rows" holds the row-patch matrix, rebuilt
+from the input by a training backward; once the kernel gradient has read
+it, it holds one input-gradient tile of the row-gradient matrix beside
+that tile's per-kernel-row GEMM result. Past those, a backward puts its
+scratch into memory whose contents are dead, sharing buffers by liveness
+as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
+(arXiv:1604.06174). An upstream that is not H'-major (the top conv's, a
+dense d_input) is laid out H'-major in the layer's own "<key>.out", spent
+once the dense forward has copied it. The input gradient goes where the
+caller says, else to "<key>.dinput": the model hands each upper conv the
+lower conv's output, dead by then, and leaves the bottom conv the
+default. The kernel gradient takes no scratch: its GEMMs write into the
+d_kernels it returns.
 """
 
 from __future__ import annotations
@@ -160,7 +166,8 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     output tile, dead until the bias add; both are (tile, Cout) views of
     (Cout, tile) memory, so BLAS runs the transposed call. With a pool the
     output lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major
-    memory), valid until the next call that reuses the key.
+    memory), valid until the next call that takes the key, a backward
+    included.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -204,6 +211,13 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     it owns. d_input is written into `into`, an (H,N,W,Cin) array whose
     contents are dead, else into a new array or, with a pool, "<key>.dinput";
     it is returned as an (N,H,W,Cin) view of that H-major memory.
+
+    With a pool it overwrites "rows", which rows may be, and may overwrite
+    "<key>.out". Each input-gradient tile takes its row gradients and GEMM
+    result from "rows" after the kernel gradient, the last reader of rows;
+    a pass without need_params reads no rows at all. An upstream that is
+    not H'-major is copied into "<key>.out": the layer's forward output,
+    which the caller must have consumed, so the upstream must not live there.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
@@ -212,7 +226,7 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     stride, m = n * ow, oh * n * ow
     up = upstream.transpose(1, 0, 2, 3)
     if not up.flags.c_contiguous:  # already H'-major when it is a d_input
-        buf = _take(pool, "up", up.shape)
+        buf = _take(pool, key + ".out", up.shape)
         buf[...] = up
         up = buf
     up = up.reshape(m, cout)
@@ -228,8 +242,7 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_x = _take(pool, key + ".dinput", (h, n, w, cin)) if into is None else into
         tiles = _tiles(h, stride, max(k * cin, cout))
         size = max(b - a for a, b in tiles) * stride
-        d_rows = _take(pool, "drows", (size, k * cin))
-        part = _take(pool, "part", (min(size, m), k * cin))  # a GEMM spans <= H' rows
+        d_rows, part = np.split(_take(pool, "rows", (2 * size, k * cin)), 2)
         for a, b in tiles:  # input rows [a, b) take output row r - ki from kernel row ki
             d = d_rows[:(b - a) * stride]
             top = max(min(b, oh) - a, 0) * stride

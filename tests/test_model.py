@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from helpers import TINY_CONFIG, blob_dataset, max_rel_err
 from qusecnets import nn
 from qusecnets.errors import BadConfigError, BadTypeError, DataError, ShapeMismatchError
-from qusecnets.model import ModelConfig, build_model, train
+from qusecnets.model import Model, ModelConfig, build_model, train
 from qusecnets.quantize import quantize
 
 # Closed-form parameter count for the default 28x28x1 stack:
@@ -427,6 +428,24 @@ def test_trained_parameters_stay_c_contiguous(config, side):
     assert all(p.flags.c_contiguous for p in model.params.values())
 
 
+def test_no_forward_cache_outlives_its_training_step(monkeypatch):
+    """A step's cache (its masks, here) must be freed before the next step's forward."""
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0,
+                                architecture=(("conv", 4, 3), ("conv", 3, 2), ("dense", 10))))
+    forward = Model.forward_batch
+    masks, alive = [], []
+
+    def tracked(self, x, keep_cache=False):
+        alive.append(sum(ref() is not None for ref in masks))
+        probs, cache = forward(self, x, keep_cache=keep_cache)
+        masks.extend(weakref.ref(c["mask"]) for c in cache["layers"] if "mask" in c)
+        return probs, cache
+
+    monkeypatch.setattr(Model, "forward_batch", tracked)
+    train(model, blob_dataset(n_per_class=4, seed=2), epochs=2, batch_size=16, lr=0.5, seed=0)
+    assert len(masks) == 12 and alive == [0] * 6  # 3 batches an epoch, 2 convs each
+
+
 def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
     ds = blob_dataset(n_per_class=4, seed=2)
     cq = build_model(replace(TINY_CONFIG, defense="cq", levels=3,
@@ -551,15 +570,18 @@ def test_train_aborts_on_nan_loss_naming_batch():
 
 
 def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
-    """After a TQ step: out per conv, conv0's dinput, and one rows/part/up/drows for all convs.
+    """After a TQ step: out per conv, conv0's dinput, and one rows/part for all convs.
 
-    part and drows hold one tile: a layer of H rows, N*W' GEMM rows each,
-    splits into count = max(1, min(H, H*N*W' // TILE_ROWS)) near-equal
-    tiles of whole rows, output rows forward and input rows backward, and
-    backward into no more than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES.
-    A wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows) takes
-    one (Cout, tile) plane of part, as a narrow one takes one (tile, Cout).
-    An upper conv's d_input goes over the lower conv's output.
+    A layer of H rows, N*W' GEMM rows each, splits into count =
+    max(1, min(H, H*N*W' // TILE_ROWS)) near-equal tiles of whole rows,
+    output rows forward and input rows backward, and backward into no more
+    than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES. part holds one forward
+    tile: a wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows)
+    takes one (Cout, tile) plane of it, as a narrow one takes one (tile, Cout).
+    rows holds the largest layer's row patches, and after each kernel
+    gradient two input-gradient tiles of k*Cin columns (row gradients and a
+    GEMM result). The top conv's upstream is laid out in its own out, and an
+    upper conv's d_input goes over the lower conv's output.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),
@@ -588,27 +610,22 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
                 count = min(count, 8 * rows * stride * width // tile_bytes)
             return -(-rows // max(1, count)) * stride
 
-        outs = part = drows = whole = 0
+        outs = part = dtile = whole = 0
         h, w, cin = config.input_shape
         dinput = h * n * w * cin
         for cout, k in ((4, 3), (6, 3), (5, 2)):
             oh, ow = h - k + 1, w - k + 1
             stride, m = n * ow, oh * n * ow
             outs += m * cout
-            back = tile(h, stride, max(k * cin, cout))
-            # forward and input-gradient GEMM parts; an input-gradient GEMM
-            # spans at most H' output rows
-            part = max(part, tile(oh, stride) * cout, min(back, m) * k * cin)
-            drows = max(drows, back * k * cin)
+            part = max(part, tile(oh, stride) * cout)  # forward tiles only
+            dtile = max(dtile, tile(h, stride, max(k * cin, cout)) * k * cin)
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
-        up = m * cout  # only the top conv's upstream (dense's d_input) is re-laid out
         bufs = model._pool._bufs
-        assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {
-            "conv0.dinput", "rows", "part", "up", "drows"}
+        assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {"conv0.dinput", "rows", "part"}
         assert sum(b.nbytes for b in bufs.values()) == 8 * (
-            outs + dinput + whole + part + up + drows)
-        assert drows < whole if split else drows == whole
+            outs + dinput + max(whole, 2 * dtile) + part)
+        assert dtile < whole if split else dtile == whole
 
 
 def test_a_model_built_from_float32_tensors_computes_in_float64():

@@ -470,39 +470,66 @@ def test_pool_views_share_the_buffer_until_a_larger_request():
     assert not np.shares_memory(larger, pool.get("other", (2,)))
 
 
-def test_pooled_conv_matches_unpooled_across_shape_changes():
-    """Two stacked layers on one pool, called in model order, as batch and size change."""
+def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
+    """Two stacked layers on one pool, called in model order, as batch and size change.
+
+    Once in one tile a layer, and once in tiles of one or two image rows,
+    where each input-gradient tile's scratch lies inside the row patches
+    the kernel gradient read before it.
+    """
     rng = np.random.default_rng(14)
     ka, ba = rng.standard_normal((3, 3, 2, 4)), rng.standard_normal(4)
     kb, bb = rng.standard_normal((2, 2, 4, 3)), rng.standard_normal(3)
-    pool = nn.BufferPool()
-    for shape in [(2, 6, 5, 2), (3, 5, 7, 2), (2, 6, 5, 2)]:
-        xs = rng.standard_normal(shape)
-        mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
-        upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
-        fresh_a = nn.conv_forward_batch(xs, ka, ba)
-        fresh_b = nn.conv_forward_batch(fresh_a, kb, bb)
-        fresh_rows_a, fresh_rows_b = nn.row_patches(xs, 3), nn.row_patches(fresh_a, 2)
-        fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
-        fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
-        # forward A, forward B, backward B, backward A, as Model runs them: each
-        # training backward refills the shared rows from its input, and B's
-        # input gradient goes over A's output, dead by then
-        out_a = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
-        out_b = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
-        outs = (out_a.copy(), out_b.copy())
-        grad_b = nn.conv_backward_batch(nn.row_patches(out_a, 2, pool), kb, upstream, mid,
-                                        pool=pool, key="b", into=out_a.transpose(1, 0, 2, 3))
-        assert np.shares_memory(grad_b[2], out_a)
-        grad_a = nn.conv_backward_batch(nn.row_patches(xs, 3, pool), ka, grad_b[2], shape,
-                                        pool=pool, key="a")
-        for a, b in zip(outs + grad_b + grad_a,
-                        (fresh_a, fresh_b) + fresh_grad_b + fresh_grad_a):
-            assert a.tobytes() == b.tobytes()
-        # an upstream already laid out H'-major (a lower layer's d_input) is used in place
-        hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-        for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
-            npt.assert_array_equal(a, b)
+    taken = []
+
+    class Pool(nn.BufferPool):  # records the key and the view of every request
+        def get(self, key, shape):
+            taken.append((key, super().get(key, shape)))
+            return taken[-1][1]
+
+    for tile_rows, tile_bytes, split in ((nn.TILE_ROWS, nn.TILE_BYTES, False), (4, 8, True)):
+        monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
+        monkeypatch.setattr(nn, "TILE_BYTES", tile_bytes)
+        pool = Pool()
+        for shape in [(2, 6, 5, 2), (3, 5, 7, 2), (2, 6, 5, 2)]:
+            xs = rng.standard_normal(shape)
+            mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
+            upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
+            assert (len(nn._tiles(shape[1], shape[0] * (shape[2] - 2), 6)) > 1) == split
+            fresh_a = nn.conv_forward_batch(xs, ka, ba)
+            fresh_b = nn.conv_forward_batch(fresh_a, kb, bb)
+            fresh_rows_a, fresh_rows_b = nn.row_patches(xs, 3), nn.row_patches(fresh_a, 2)
+            fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
+            fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
+            # forward A, forward B, backward B, backward A, as Model runs them: each
+            # training backward refills the shared rows from its input, and B's
+            # input gradient goes over A's output, dead by then
+            out_a = nn.conv_forward_batch(xs, ka, ba, pool=pool, key="a")
+            out_b = nn.conv_forward_batch(out_a, kb, bb, pool=pool, key="b")
+            outs = (out_a.copy(), out_b.copy())
+            taken.clear()
+            grad_b = nn.conv_backward_batch(nn.row_patches(out_a, 2, pool), kb, upstream, mid,
+                                            pool=pool, key="b", into=out_a.transpose(1, 0, 2, 3))
+            assert np.shares_memory(grad_b[2], out_a)
+            # B's C-ordered upstream is laid out H'-major in B's own spent output
+            assert {key for key, _ in taken} == {"rows", "b.out"}
+            assert all(np.shares_memory(v, out_b) for key, v in taken if key == "b.out")
+            npt.assert_array_equal(out_b, upstream)
+            taken.clear()
+            grad_a = nn.conv_backward_batch(nn.row_patches(xs, 3, pool), ka, grad_b[2], shape,
+                                            pool=pool, key="a")
+            # A's upstream is B's d_input, H'-major already: no copy
+            assert {key for key, _ in taken} == {"rows", "a.dinput"}
+            if split:  # the tiles' scratch went into the row patches A's kernel gradient read
+                patches, scratch = (v for key, v in taken if key == "rows")
+                assert np.shares_memory(patches, scratch)
+            for a, b in zip(outs + grad_b + grad_a,
+                            (fresh_a, fresh_b) + fresh_grad_b + fresh_grad_a):
+                assert a.tobytes() == b.tobytes()
+            # an upstream already laid out H'-major (a lower layer's d_input) is used in place
+            hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+            for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
+                npt.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("tile_rows", [nn.TILE_ROWS, 3000])

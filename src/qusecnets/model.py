@@ -101,19 +101,18 @@ class _Conv:
         return np.maximum(pre, 0.0, out=pre)
 
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
-        # d is always our own scratch here (the stack ends in dense, so the
-        # caller's d_logits was already consumed by a matmul)
+        # d is always our own output here: the layer above owns its input
         d = np.multiply(d, cache["mask"], out=d)
         x, kernels = cache["input"], params[self.name + ".kernels"]
         # the layers above took the pool's rows since the forward: a training
         # pass rebuilds them from the input; an input-gradient pass reads none
         rows = nn.row_patches(x, kernels.shape[0], pool, fill=grads is not None)
-        # convs come first (none may follow a dense), so above conv0 the input
-        # is the lower conv's output, dead by now: d_input goes over it
+        # convs come first (none may follow a dense), so an owned input is the
+        # lower conv's H-major output
         d_k, d_b, d_in = nn.conv_backward_batch(
             rows, kernels, d, x.shape, need_input=need_input, pool=pool, key=self.name,
             need_params=grads is not None,
-            into=None if self.name == "conv0" else x.transpose(1, 0, 2, 3))
+            into=x.transpose(1, 0, 2, 3) if self.owns_input else None)
         if grads is not None:
             grads[self.name + ".kernels"] = d_k
             grads[self.name + ".bias"] = d_b
@@ -121,7 +120,17 @@ class _Conv:
 
 
 class _Dense:
-    """Fully connected layer over the flattened input; owns <name>.W and <name>.b."""
+    """Fully connected layer over the flattened input; owns <name>.W and <name>.b.
+
+    The input is cached as the view it is, unflattened. The backward works
+    on it in blocks of its first extent, H' (1 for a flat input), as an
+    (H', N, F/H') view, C-ordered when the input is a conv's H'-major
+    output. Each block's d_W and d_input is a GEMM whose every element is
+    the same dot as the flattened layer's. d_input goes over an input the
+    layer owns, once d_W has read it, so the conv below gets it H'-major,
+    as every conv above the bottom one hands its input gradient down;
+    else it goes to a new array.
+    """
 
     FIELDS = ("width",)
 
@@ -129,22 +138,33 @@ class _Dense:
         fan_in = math.prod(in_shape)
         self.name = name
         self.out_shape = (width,)
+        self.blocks = in_shape[0] if len(in_shape) == 3 else 1
         self.shapes = {name + ".W": (width, fan_in), name + ".b": (width,)}
         self.fans = (fan_in, width)
 
     def forward(self, a, params: dict, pool, caches: list | None):
-        flat = a.reshape(a.shape[0], -1)
         if caches is not None:
-            caches.append({"input": flat, "in_shape": a.shape})
-        return nn.dense(flat, params[self.name + ".W"], params[self.name + ".b"])
+            caches.append({"input": a})
+        # reshape copies a conv's H'-major output: the copy dies with this call
+        return nn.dense(a.reshape(a.shape[0], -1), params[self.name + ".W"],
+                        params[self.name + ".b"])
 
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
-        W = params[self.name + ".W"]
-        if grads is None:  # an input-gradient pass: no d_W
-            return nn.backprop_delta(d, W).reshape(cache["in_shape"])
-        g = nn.dense(cache["input"], W, params[self.name + ".b"], upstream=d)
-        grads[self.name + ".W"], grads[self.name + ".b"] = g.d_params["W"], g.d_params["b"]
-        return g.d_input.reshape(cache["in_shape"]) if need_input else None
+        a, W = cache["input"], params[self.name + ".W"]
+        if grads is not None:
+            d_W = np.empty(W.shape)
+            np.matmul(d.T, self._blocked(a), out=self._blocked(d_W))
+            grads[self.name + ".W"], grads[self.name + ".b"] = d_W, d.sum(axis=0)
+        if not need_input:
+            return None
+        d_a = a if self.owns_input else np.empty(a.shape)
+        np.matmul(d, self._blocked(W), out=self._blocked(d_a))
+        return d_a
+
+    def _blocked(self, t):
+        """t, whose rows hold F values each, as (H', rows, F/H') blocks: a view of a
+        C-ordered or H'-major t."""
+        return t.reshape(len(t), self.blocks, -1).transpose(1, 0, 2)
 
 
 # each layer declares `shapes` (param name -> shape, weight then bias) and Glorot `fans`
@@ -152,11 +172,18 @@ _KINDS = {"conv": _Conv, "dense": _Dense}
 
 
 def _layers(config) -> list:
-    """The architecture as layer objects named <kind><index>; BadConfigError if it does not fit."""
+    """The architecture as layer objects named <kind><index>; BadConfigError if it does not fit.
+
+    A layer owns_input when its input is the output of the layer below,
+    dead once its backward has read it, so its input gradient may go
+    there. The bottom layer's input is the caller's images or the
+    quantizer's output, which it never overwrites.
+    """
     layers = []
     shape = config.input_shape
     for i, (kind, *sizes) in enumerate(config.architecture):
         layers.append(_KINDS[kind](f"{kind}{i}", shape, *sizes))
+        layers[-1].owns_input = i > 0
         shape = layers[-1].out_shape
     if not layers or not isinstance(layers[-1], _Dense):
         raise BadConfigError("architecture must end with a dense layer")
@@ -245,10 +272,11 @@ class Model:
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
         """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches.
 
-        A cache serves the one backward_batch that follows it. The conv inputs
-        it holds live in the model's scratch pool: the next forward_batch
-        overwrites them, and so does a backward pass, which writes input
-        gradients over them.
+        A cache serves the one backward_batch that follows it. The inputs it
+        holds of the layers above the bottom one are the outputs of the
+        layers below, a conv's in the model's scratch pool: the next
+        forward_batch overwrites those, and a backward pass writes input
+        gradients over all of them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.config.input_shape:
@@ -398,18 +426,21 @@ class EpochStats:
 def _step(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float):
     """One SGD step on a batch: (loss, correct predictions); no update if the loss is non-finite.
 
-    A frame of its own, so the step's cache and gradients die before the
-    next batch's forward.
+    A frame of its own, so nothing of the step outlives it. It drops the
+    cache but for the raw input once the backward has run, and each
+    gradient once it is applied.
     """
     probs, cache = model.forward_batch(xb, keep_cache=True)
     loss, d_logits = model.loss_and_grad_batch(probs, yb)
     if not np.isfinite(loss):
         return loss, 0
+    raw = cache["raw_input"]
     grads, quantizer_delta = model.backward_batch(cache, d_logits)
-    for pname, g in grads.items():
-        model.params[pname] = nn.sgd_update(model.params[pname], g, lr)
+    del cache
+    for pname in list(grads):
+        model.params[pname] = nn.sgd_update(model.params[pname], grads.pop(pname), lr)
     if quantizer_delta is not None:
-        update_thresholds(model.quantizer, quantizer_delta, cache["raw_input"], lr)
+        update_thresholds(model.quantizer, quantizer_delta, raw, lr)
     return loss, int((probs.argmax(axis=1) == yb).sum())
 
 

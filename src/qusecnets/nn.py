@@ -6,14 +6,15 @@ into float64 scratch. There is no autodiff graph: each op either runs
 forward (``upstream=None``) or returns a LayerGrad holding the gradient of
 the cost w.r.t. its input and parameters, given the upstream gradient
 w.r.t. its output. Ops are pure functions, and each formula exists once.
-The model calls conv_forward_batch/conv_backward_batch, dense (only
-backprop_delta on input-gradient passes), softmax_batch,
-softmax_backward_batch and mse_cost, and sgd_update steps both its
-weights and, through quantize.update_thresholds, the TQ thresholds.
-conv2d and softmax are the single-image and single-vector forms. Two ops
-only serve as references: the conv layer fuses its ReLU (relu's mask,
-applied in place), and the cross-entropy loss goes to d logits in closed
-form (cross_entropy is its d/dP).
+The model calls conv_forward_batch/conv_backward_batch, dense (forward
+only), softmax_batch, softmax_backward_batch and mse_cost, and sgd_update
+steps both its weights and, through quantize.update_thresholds, the TQ
+thresholds. conv2d and softmax are the single-image and single-vector
+forms. Three ops only serve as references: the conv layer fuses its ReLU
+(relu's mask, applied in place), the dense layer's backward runs block by
+block on its unflattened input (dense's backward, with backprop_delta,
+gives the same bytes), and the cross-entropy loss goes to d logits in
+closed form (cross_entropy is its d/dP).
 
 The batched conv copies its input once, through a window view, into a
 row-patch matrix (one width shift per kernel column) and runs one GEMM
@@ -50,13 +51,13 @@ it, it holds one input-gradient tile of the row-gradient matrix beside
 that tile's per-kernel-row GEMM result. Past those, a backward puts its
 scratch into memory whose contents are dead, sharing buffers by liveness
 as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
-(arXiv:1604.06174). An upstream that is not H'-major (the top conv's, a
-dense d_input) is laid out H'-major in the layer's own "<key>.out", spent
-once the dense forward has copied it. The input gradient goes where the
-caller says, else to "<key>.dinput": the model hands each upper conv the
-lower conv's output, dead by then, and leaves the bottom conv the
-default. The kernel gradient takes no scratch: its GEMMs write into the
-d_kernels it returns.
+(arXiv:1604.06174). The input gradient goes where the caller says, else
+to "<key>.dinput": the model hands each layer above the bottom one the
+output of the layer below, dead by then, and leaves the bottom conv the
+default. So every upstream the model passes a conv is H'-major already:
+the dense layer's d_input over the top conv's "<key>.out", or an upper
+conv's over a lower one's. The kernel gradient takes no scratch: its
+GEMMs write into the d_kernels it returns.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     output tile, dead until the bias add; both are (tile, Cout) views of
     (Cout, tile) memory, so BLAS runs the transposed call. With a pool the
     output lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major
-    memory), valid until the next call that takes the key, a backward
-    included.
+    memory), valid until the next forward that takes the key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -212,24 +212,18 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     contents are dead, else into a new array or, with a pool, "<key>.dinput";
     it is returned as an (N,H,W,Cin) view of that H-major memory.
 
-    With a pool it overwrites "rows", which rows may be, and may overwrite
-    "<key>.out". Each input-gradient tile takes its row gradients and GEMM
+    With a pool it writes only "rows", which rows may be, and its d_input
+    destination. Each input-gradient tile takes its row gradients and GEMM
     result from "rows" after the kernel gradient, the last reader of rows;
     a pass without need_params reads no rows at all. An upstream that is
-    not H'-major is copied into "<key>.out": the layer's forward output,
-    which the caller must have consumed, so the upstream must not live there.
+    not H'-major is copied into a new H'-major array first.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
     cout = kernels.shape[3]
     oh, ow = h - k + 1, w - k + 1
     stride, m = n * ow, oh * n * ow
-    up = upstream.transpose(1, 0, 2, 3)
-    if not up.flags.c_contiguous:  # already H'-major when it is a d_input
-        buf = _take(pool, key + ".out", up.shape)
-        buf[...] = up
-        up = buf
-    up = up.reshape(m, cout)
+    up = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(m, cout)
     kern = kernels.reshape(k, k * cin, cout)
     d_kernels = d_bias = d_input = None
     if need_params:

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from helpers import TINY_CONFIG, blob_dataset, max_rel_err
 from qusecnets import nn
 from qusecnets.errors import BadConfigError, BadTypeError, DataError, ShapeMismatchError
-from qusecnets.model import Model, ModelConfig, build_model, train
+from qusecnets.model import DEFAULT_ARCHITECTURE, Model, ModelConfig, _step, build_model, train
 from qusecnets.quantize import quantize
 
 # Closed-form parameter count for the default 28x28x1 stack:
@@ -446,6 +447,139 @@ def test_no_forward_cache_outlives_its_training_step(monkeypatch):
     assert len(masks) == 12 and alive == [0] * 6  # 3 batches an epoch, 2 convs each
 
 
+def test_a_step_drops_its_cache_and_each_gradient_as_it_applies_them(monkeypatch):
+    """Past the backward a step keeps only the raw input of its cache, and each
+    gradient lives until its update, so the updates peak at the gradients left."""
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0,
+                                architecture=(("conv", 4, 3), ("conv", 3, 2), ("dense", 10))))
+    backward, update = Model.backward_batch, nn.sgd_update
+    step, alive = {}, []
+
+    def tracked_backward(self, cache, d_logits, need_input_grad=False):
+        step["masks"] = [weakref.ref(c["mask"]) for c in cache["layers"] if "mask" in c]
+        grads, delta = backward(self, cache, d_logits, need_input_grad)
+        step["grads"] = [weakref.ref(g) for g in grads.values()]
+        return grads, delta
+
+    def tracked_update(param, grad, lr):
+        alive.append((sum(r() is not None for r in step["masks"]),
+                      sum(r() is not None for r in step["grads"])))
+        return update(param, grad, lr)
+
+    monkeypatch.setattr(Model, "backward_batch", tracked_backward)
+    monkeypatch.setattr(nn, "sgd_update", tracked_update)
+    ds = blob_dataset(n_per_class=1, seed=2)
+    _step(model, ds.images, ds.labels, 0.1)
+    # 3 layers of a weight and a bias each, then the TQ thresholds
+    assert alive == [(0, 6 - i) for i in range(6)] + [(0, 0)]
+
+
+# The dense input is the top conv's output, H' x N x F/H' in memory; F its flattened size.
+TOP_CONV_STACKS = {
+    "default": ((28, 28, 1), DEFAULT_ARCHITECTURE, 12 * 12 * 128),
+    "quarter": ((28, 28, 1), (("conv", 16, 8), ("conv", 32, 6), ("conv", 32, 5), ("dense", 10)),
+                12 * 12 * 32),
+    "32x32x3": ((32, 32, 3), DEFAULT_ARCHITECTURE, 16 * 16 * 128),
+}
+
+
+@pytest.mark.parametrize("stack", TOP_CONV_STACKS)
+def test_the_dense_layer_hands_the_top_conv_its_upstream_in_the_conv_output(monkeypatch, stack):
+    """No (N, F) flattened copy of the dense input is cached, and its d_input
+    goes over the top conv's spent output, which that conv reads in place."""
+    shape, architecture, flat = TOP_CONV_STACKS[stack]
+    model = build_model(ModelConfig(input_shape=shape, defense="tq", levels=4, steepness=5.0,
+                                    architecture=architecture, loss="cross_entropy"))
+    conv_backward, upstreams = nn.conv_backward_batch, []
+
+    def tracked(rows, kernels, upstream, *args, **kwargs):
+        if kwargs["key"] == "conv2":
+            upstreams.append(upstream)
+        return conv_backward(rows, kernels, upstream, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "conv_backward_batch", tracked)
+    rng = np.random.default_rng(16)
+    n = 3
+    x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
+    for need_input_grad in (False, True):
+        probs, cache = model.forward_batch(x, keep_cache=True)
+        top = model._pool._bufs["conv2.out"]
+        assert all(v.shape != (n, flat) for c in cache["layers"] for v in c.values())
+        assert np.shares_memory(cache["layers"][-1]["input"], top)
+        _, d_logits = model.loss_and_grad_batch(probs, labels)
+        model.backward_batch(cache, d_logits, need_input_grad=need_input_grad)
+        assert np.shares_memory(upstreams[-1], top)
+    assert len(upstreams) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64])
+def test_the_dense_backward_gives_the_bytes_of_nn_dense_on_a_flattened_copy(n):
+    """Block by block over H', each element is the flattened GEMM's dot."""
+    model = build_model(ModelConfig(defense="tq", levels=4, steepness=5.0, seed=3))
+    dense, name = model.layers[-1], model.layers[-1].name
+    rng = np.random.default_rng([17, n])
+    x, d = rng.random((n, 28, 28, 1)), rng.standard_normal((n, 10))
+    for grads in ({}, None):  # a training pass, then an input-gradient pass
+        _, cache = model.forward_batch(x, keep_cache=True)
+        a = cache["layers"][-1]["input"]
+        want = nn.dense(a.reshape(n, -1).copy(), model.params[name + ".W"],
+                        model.params[name + ".b"], upstream=d)
+        d_input = dense.backward(d, cache["layers"][-1], model.params, model._pool, grads,
+                                 need_input=True)
+        assert d_input.shape == a.shape and np.shares_memory(d_input, a)
+        assert d_input.reshape(n, -1).tobytes() == want.d_input.tobytes()
+        if grads is not None:
+            assert grads[name + ".W"].tobytes() == want.d_params["W"].tobytes()
+            assert grads[name + ".b"].tobytes() == want.d_params["b"].tobytes()
+
+
+@pytest.mark.parametrize("architecture", [(("dense", 10),), (("dense", 6), ("dense", 10))],
+                         ids=["dense", "dense-dense"])
+def test_a_bottom_dense_layer_leaves_the_callers_images(architecture):
+    """Only a layer above the bottom one writes its input gradient over its input."""
+    model = build_model(replace(TINY_CONFIG, architecture=architecture))
+    rng = np.random.default_rng(18)
+    x, labels = rng.random((5, 8, 8, 1)), rng.integers(0, 10, 5)
+    before = x.copy()
+    probs, d_x = model.input_gradient_batch(x, labels)
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(d_x, x)
+    _, d_logits = model.loss_and_grad_batch(probs, labels)
+    if len(architecture) == 1:
+        want = nn.dense(x.reshape(5, -1), model.params["dense0.W"], model.params["dense0.b"],
+                        upstream=d_logits)
+        assert d_x.reshape(5, -1).tobytes() == want.d_input.tobytes()
+
+
+def test_a_training_step_holds_no_flattened_dense_input_past_its_forward(monkeypatch):
+    """Above the pool, a step's backward and updates peak below one (N, F) array.
+
+    The forward still flattens the top conv's H'-major output for its GEMM,
+    but that copy dies with the forward: the dense backward works in the
+    conv's spent output, and no cache keeps a flattened copy.
+    """
+    model = build_model(ModelConfig(defense="tq", levels=4, steepness=5.0, loss="cross_entropy",
+                                    architecture=(("conv", 32, 3), ("dense", 10))))
+    rng = np.random.default_rng(19)
+    n, flat = 64, 26 * 26 * 32
+    x, labels = rng.random((n, 28, 28, 1)), rng.integers(0, 10, n)
+    _step(model, x, labels, 0.01)  # sizes the pool
+    backward = Model.backward_batch
+
+    def traced(self, *args, **kwargs):
+        tracemalloc.reset_peak()
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "backward_batch", traced)
+    tracemalloc.start()
+    try:
+        _step(model, x, labels, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * flat
+
+
 def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
     ds = blob_dataset(n_per_class=4, seed=2)
     cq = build_model(replace(TINY_CONFIG, defense="cq", levels=3,
@@ -580,8 +714,8 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
     takes one (Cout, tile) plane of it, as a narrow one takes one (tile, Cout).
     rows holds the largest layer's row patches, and after each kernel
     gradient two input-gradient tiles of k*Cin columns (row gradients and a
-    GEMM result). The top conv's upstream is laid out in its own out, and an
-    upper conv's d_input goes over the lower conv's output.
+    GEMM result). The dense layer's d_input goes over the top conv's out,
+    and an upper conv's over the lower conv's output.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),

@@ -101,18 +101,17 @@ class _Conv:
         return np.maximum(pre, 0.0, out=pre)
 
     def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
-        # d is always our own output here: the layer above owns its input
+        # d is always our own output here: each layer writes over its input
         d = np.multiply(d, cache["mask"], out=d)
         x, kernels = cache["input"], params[self.name + ".kernels"]
         # the layers above took the pool's rows since the forward: a training
         # pass rebuilds them from the input; an input-gradient pass reads none
         rows = nn.row_patches(x, kernels.shape[0], pool, fill=grads is not None)
-        # convs come first (none may follow a dense), so an owned input is the
-        # lower conv's H-major output
+        # the input is dead once read: the lower conv's H-major output, or the
+        # bottom layer's C-ordered array, viewed H-major
         d_k, d_b, d_in = nn.conv_backward_batch(
             rows, kernels, d, x.shape, need_input=need_input, pool=pool, key=self.name,
-            need_params=grads is not None,
-            into=x.transpose(1, 0, 2, 3) if self.owns_input else None)
+            need_params=grads is not None, into=x.transpose(1, 0, 2, 3))
         if grads is not None:
             grads[self.name + ".kernels"] = d_k
             grads[self.name + ".bias"] = d_b
@@ -126,10 +125,9 @@ class _Dense:
     on it in blocks of its first extent, H' (1 for a flat input), as an
     (H', N, F/H') view, C-ordered when the input is a conv's H'-major
     output. Each block's d_W and d_input is a GEMM whose every element is
-    the same dot as the flattened layer's. d_input goes over an input the
-    layer owns, once d_W has read it, so the conv below gets it H'-major,
-    as every conv above the bottom one hands its input gradient down;
-    else it goes to a new array.
+    the same dot as the flattened layer's. d_input goes over the input,
+    dead once d_W has read it, so the conv below gets it H'-major, as
+    every conv hands its input gradient down.
     """
 
     FIELDS = ("width",)
@@ -157,9 +155,8 @@ class _Dense:
             grads[self.name + ".W"], grads[self.name + ".b"] = d_W, d.sum(axis=0)
         if not need_input:
             return None
-        d_a = a if self.owns_input else np.empty(a.shape)
-        np.matmul(d, self._blocked(W), out=self._blocked(d_a))
-        return d_a
+        np.matmul(d, self._blocked(W), out=self._blocked(a))
+        return a
 
     def _blocked(self, t):
         """t, whose rows hold F values each, as (H', rows, F/H') blocks: a view of a
@@ -174,16 +171,13 @@ _KINDS = {"conv": _Conv, "dense": _Dense}
 def _layers(config) -> list:
     """The architecture as layer objects named <kind><index>; BadConfigError if it does not fit.
 
-    A layer owns_input when its input is the output of the layer below,
-    dead once its backward has read it, so its input gradient may go
-    there. The bottom layer's input is the caller's images or the
-    quantizer's output, which it never overwrites.
+    Each layer's backward writes its input gradient over its input, which
+    the model owns and which is dead once that backward has read it.
     """
     layers = []
     shape = config.input_shape
     for i, (kind, *sizes) in enumerate(config.architecture):
         layers.append(_KINDS[kind](f"{kind}{i}", shape, *sizes))
-        layers[-1].owns_input = i > 0
         shape = layers[-1].out_shape
     if not layers or not isinstance(layers[-1], _Dense):
         raise BadConfigError("architecture must end with a dense layer")
@@ -253,7 +247,7 @@ class Model:
         self._passes = 0  # forward and backward passes so far; a cache records its forward's
 
     def clear_buffers(self):
-        """Drop conv scratch buffers (104.4 MiB after a default-stack TQ step at batch 64)."""
+        """Drop conv scratch buffers (104.0 MiB after a default-stack TQ step at batch 64)."""
         self._pool.clear()
 
     @property
@@ -272,18 +266,20 @@ class Model:
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
         """Probabilities for a (N,H,W,C) batch; optionally keep per-layer caches.
 
-        A cache serves the one backward_batch that follows it. The inputs it
-        holds of the layers above the bottom one are the outputs of the
-        layers below, a conv's in the model's scratch pool: the next
-        forward_batch overwrites those, and a backward pass writes input
-        gradients over all of them.
+        A cache serves the one backward_batch that follows it. The layer
+        inputs it holds are all the model's own: the bottom layer's is the
+        quantizer's output, or a copy of x without a defense, so the caller's
+        images stay untouched; each other layer's is the output of the layer
+        below, a conv's in the model's scratch pool, which the next
+        forward_batch overwrites. A backward pass writes input gradients
+        over all of them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.config.input_shape:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} != configured {self.config.input_shape}")
         self._passes += 1
-        a = quantize(x, self.quantizer) if self.quantizer is not None else x
+        a = quantize(x, self.quantizer) if self.quantizer is not None else x.copy()
         caches = [] if keep_cache else None
         for layer in self.layers:
             a = layer.forward(a, self.params, self._pool, caches)
@@ -307,6 +303,9 @@ class Model:
         quantizer-output for update_thresholds, None unless the model is TQ.
         An input-gradient pass (need_input_grad=True) computes no parameter
         gradient and returns (None, d_raw_input), chained through the quantizer.
+        The bottom delta is written over the bottom layer's input, the
+        quantizer's output or the model's copy of the images, so the caller
+        owns it and no pool buffer holds it.
         Either raises ValueError unless the cache is from the last pass on this
         model: a cache serves the one backward that follows it (see forward_batch).
         """
@@ -323,7 +322,7 @@ class Model:
                                         need_input=i > 0 or want_bottom_delta)
         if need_input_grad and self.quantizer is not None:
             return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
-        return grads, None if d is None else d.copy()  # detach from the scratch pool
+        return grads, d
 
     def loss_and_grad_batch(self, probs: np.ndarray, labels: np.ndarray):
         """Mean loss over the batch plus d loss/d logits (via the softmax Jacobian)."""

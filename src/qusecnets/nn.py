@@ -12,9 +12,9 @@ steps both its weights and, through quantize.update_thresholds, the TQ
 thresholds. conv2d and softmax are the single-image and single-vector
 forms. Three ops only serve as references: the conv layer fuses its ReLU
 (relu's mask, applied in place), the dense layer's backward runs block by
-block on its unflattened input (dense's backward, with backprop_delta,
-gives the same bytes), and the cross-entropy loss goes to d logits in
-closed form (cross_entropy is its d/dP).
+block on its unflattened input (dense's backward gives the same bytes),
+and the cross-entropy loss goes to d logits in closed form (cross_entropy
+is its d/dP).
 
 The batched conv copies its input once, through a window view, into a
 row-patch matrix (one width shift per kernel column) and runs one GEMM
@@ -52,12 +52,13 @@ that tile's per-kernel-row GEMM result. Past those, a backward puts its
 scratch into memory whose contents are dead, sharing buffers by liveness
 as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
 (arXiv:1604.06174). The input gradient goes where the caller says, else
-to "<key>.dinput": the model hands each layer above the bottom one the
-output of the layer below, dead by then, and leaves the bottom conv the
-default. So every upstream the model passes a conv is H'-major already:
-the dense layer's d_input over the top conv's "<key>.out", or an upper
-conv's over a lower one's. The kernel gradient takes no scratch: its
-GEMMs write into the d_kernels it returns.
+to "<key>.dinput", a default that only callers outside the model take:
+the model hands every conv its own input, dead by then. That is the
+output of the layer below, or for the bottom conv the quantizer's output
+or the model's copy of the images. So every upstream the model passes a
+conv is H'-major already: the dense layer's d_input over the top conv's
+"<key>.out", or an upper conv's over a lower one's. The kernel gradient
+takes no scratch: its GEMMs write into the d_kernels it returns.
 """
 
 from __future__ import annotations
@@ -208,9 +209,11 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     reorder it, one kernel row at a time as rows_block.T @ up into a
     (k*Cin, Cout) view of (Cout, k*Cin) memory, so BLAS runs the
     transposed call. d_kernels is thus a non-C-contiguous view of memory
-    it owns. d_input is written into `into`, an (H,N,W,Cin) array whose
-    contents are dead, else into a new array or, with a pool, "<key>.dinput";
-    it is returned as an (N,H,W,Cin) view of that H-major memory.
+    it owns. d_input is written into `into`, an (H,N,W,Cin) array or view
+    whose contents are dead; the model always passes one, its layer's
+    input viewed H-major. Without it, d_input goes into a new array or,
+    with a pool, "<key>.dinput". It is returned as an (N,H,W,Cin) view of
+    that memory.
 
     With a pool it writes only "rows", which rows may be, and its d_input
     destination. Each input-gradient tile takes its row gradients and GEMM
@@ -300,7 +303,7 @@ def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
     """Affine layer x @ W.T + b for input (N,) or a (B,N) batch, W (M,N), b (M,).
 
     With upstream of the output's shape, returns a LayerGrad whose d_params
-    sum over the batch and whose d_input is backprop_delta(upstream, W).
+    sum over the batch and whose d_input is upstream @ W.
     """
     if W.ndim != 2:
         raise ValueError(f"dense W must be rank 2, got rank {W.ndim}")
@@ -316,7 +319,7 @@ def dense(input: Tensor, W: Tensor, b: Tensor, upstream: Tensor | None = None):
             f"dense upstream must have shape {input.shape[:-1] + (m,)}, got {upstream.shape}")
     rows = np.atleast_2d(upstream)
     return LayerGrad(
-        d_input=backprop_delta(upstream, W),
+        d_input=upstream @ W,
         d_params={"W": rows.T @ np.atleast_2d(input), "b": rows.sum(axis=0)},
     )
 
@@ -373,15 +376,6 @@ def cross_entropy(P: Tensor, label: int):
     grad = np.zeros_like(P)
     grad[label] = -1.0 / p
     return -np.log(p), grad
-
-
-def backprop_delta(upstream_deltas: Tensor, W: Tensor) -> Tensor:
-    """Dense d_input: delta_k = sum_j W_jk delta_j, for (M,) or (B,M) deltas and W (M,N)."""
-    if W.shape[0] != upstream_deltas.shape[-1]:
-        raise ValueError(
-            f"backprop_delta: W has {W.shape[0]} rows but deltas length "
-            f"{upstream_deltas.shape[-1]}")
-    return upstream_deltas @ W
 
 
 def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:

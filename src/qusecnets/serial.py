@@ -8,7 +8,8 @@ Layout, all integers little-endian:
 Round trips are byte-exact; readers fail with distinct errors for a wrong
 magic, a truncated payload (naming the tensor), and shapes that disagree
 with the embedded config. A tensor named twice, or one its reader does not
-take, is a ShapeMismatchError that names it. A weight file holds
+take, is a ShapeMismatchError that names it, and bytes past the last
+declared tensor are a DataError. A weight file holds
 Model.tensors(); the batch type, AdversarialBatch, is defined in attacks
 and re-exported here.
 """
@@ -83,7 +84,7 @@ class _Reader:
 
 
 def read_container(path, expected_magic: bytes):
-    """Returns (config_text, tensors dict) or raises a DataError subclass."""
+    """Returns (config_text, tensors dict) or raises a DataError."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data, path)
@@ -111,6 +112,8 @@ def read_container(path, expected_magic: bytes):
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         except ValueError as e:  # a zero extent next to ones too large for numpy to index
             raise ShapeMismatchError(f"{path}: tensor {name!r} has unusable extents {shape}") from e
+    if r.pos != len(data):
+        raise DataError(f"{path}: {len(data) - r.pos} bytes past the last tensor")
     return config_text, tensors
 
 

@@ -533,18 +533,23 @@ def test_the_dense_backward_gives_the_bytes_of_nn_dense_on_a_flattened_copy(n):
             assert grads[name + ".b"].tobytes() == want.d_params["b"].tobytes()
 
 
-@pytest.mark.parametrize("architecture", [(("dense", 10),), (("dense", 6), ("dense", 10))],
-                         ids=["dense", "dense-dense"])
+@pytest.mark.parametrize("architecture", [(("dense", 10),), (("dense", 6), ("dense", 10)),
+                                          (("conv", 3, 3), ("dense", 10))],
+                         ids=["dense", "dense-dense", "conv-dense"])
 def test_a_bottom_dense_layer_leaves_the_callers_images(architecture):
-    """Only a layer above the bottom one writes its input gradient over its input."""
+    """Every layer writes its input gradient over its input, and an undefended
+    model's bottom layer gets a copy of the images, not the caller's array."""
     model = build_model(replace(TINY_CONFIG, architecture=architecture))
     rng = np.random.default_rng(18)
     x, labels = rng.random((5, 8, 8, 1)), rng.integers(0, 10, 5)
     before = x.copy()
+    probs, cache = model.forward_batch(x, keep_cache=True)
+    _, d_logits = model.loss_and_grad_batch(probs, labels)
+    model.backward_batch(cache, d_logits)
+    assert x.tobytes() == before.tobytes()
     probs, d_x = model.input_gradient_batch(x, labels)
     assert x.tobytes() == before.tobytes()
     assert not np.shares_memory(d_x, x)
-    _, d_logits = model.loss_and_grad_batch(probs, labels)
     if len(architecture) == 1:
         want = nn.dense(x.reshape(5, -1), model.params["dense0.W"], model.params["dense0.b"],
                         upstream=d_logits)
@@ -704,7 +709,7 @@ def test_train_aborts_on_nan_loss_naming_batch():
 
 
 def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
-    """After a TQ step: out per conv, conv0's dinput, and one rows/part for all convs.
+    """After a TQ step: out per conv, and one rows/part for all convs.
 
     A layer of H rows, N*W' GEMM rows each, splits into count =
     max(1, min(H, H*N*W' // TILE_ROWS)) near-equal tiles of whole rows,
@@ -715,7 +720,8 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
     rows holds the largest layer's row patches, and after each kernel
     gradient two input-gradient tiles of k*Cin columns (row gradients and a
     GEMM result). The dense layer's d_input goes over the top conv's out,
-    and an upper conv's over the lower conv's output.
+    an upper conv's over the lower conv's output, and conv0's over the
+    quantizer's output, which no pool buffer holds.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),
@@ -746,7 +752,6 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
 
         outs = part = dtile = whole = 0
         h, w, cin = config.input_shape
-        dinput = h * n * w * cin
         for cout, k in ((4, 3), (6, 3), (5, 2)):
             oh, ow = h - k + 1, w - k + 1
             stride, m = n * ow, oh * n * ow
@@ -756,9 +761,9 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
         bufs = model._pool._bufs
-        assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {"conv0.dinput", "rows", "part"}
+        assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {"rows", "part"}
         assert sum(b.nbytes for b in bufs.values()) == 8 * (
-            outs + dinput + max(whole, 2 * dtile) + part)
+            outs + max(whole, 2 * dtile) + part)
         assert dtile < whole if split else dtile == whole
 
 
@@ -789,3 +794,21 @@ def test_a_tq_training_pass_returns_a_delta_the_caller_owns():
     assert not np.shares_memory(first, second)
     npt.assert_array_equal(first, first_values)
     assert not np.array_equal(first_values, second_values)
+
+
+def test_the_bottom_delta_goes_over_the_quantizer_output_not_a_pool_buffer():
+    """conv0 writes its input gradient over its own input, the quantizer's
+    output, and the pass returns that array: no pool buffer holds it."""
+    config = replace(TINY_CONFIG, levels=3, steepness=10.0,
+                     architecture=(("conv", 3, 3), ("conv", 4, 2), ("dense", 10)))
+    ds = blob_dataset(n_per_class=1)
+    model = build_model(replace(config, defense="tq"))
+    probs, cache = model.forward_batch(ds.images, keep_cache=True)
+    quantized = cache["layers"][0]["input"]
+    _, d_logits = model.loss_and_grad_batch(probs, ds.labels)
+    _, delta = model.backward_batch(cache, d_logits)
+    assert np.shares_memory(delta, quantized)
+    assert not any(np.shares_memory(delta, b) for b in model._pool._bufs.values())
+    model = build_model(replace(config, defense="cq"))
+    model.input_gradient_batch(ds.images, ds.labels)
+    assert model._pool._bufs and not any(k.endswith(".dinput") for k in model._pool._bufs)

@@ -117,12 +117,17 @@ def test_dense_identity():
     x = np.array([0.3, -1.2, 4.0])
     out = nn.dense(x, np.eye(3), np.zeros(3))
     npt.assert_array_equal(out, x)
+    deltas = np.array([1.0, -2.0, 3.0])
+    npt.assert_array_equal(nn.dense(x, np.eye(3), np.zeros(3), upstream=deltas).d_input, deltas)
 
 
 def test_dense_hand_arithmetic():
     out = nn.dense(np.array([1.0, 2.0]),
                    np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
     npt.assert_array_equal(out, [3.0, 2.0])
+    # one neuron: d_input = W * delta
+    grad = nn.dense(np.array([5.0]), np.array([[2.0]]), np.zeros(1), upstream=np.array([3.0]))
+    npt.assert_array_equal(grad.d_input, [6.0])
 
 
 def test_dense_gradients_match_finite_differences():
@@ -336,33 +341,8 @@ def test_cross_entropy_label_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# backprop_delta / sgd_update
+# sgd_update
 # ---------------------------------------------------------------------------
-
-def test_backprop_delta_identity():
-    deltas = np.array([1.0, -2.0, 3.0])
-    npt.assert_array_equal(nn.backprop_delta(deltas, np.eye(3)), deltas)
-
-
-def test_backprop_delta_single_neuron():
-    npt.assert_array_equal(
-        nn.backprop_delta(np.array([3.0]), np.array([[2.0]])), [6.0])
-
-
-def test_backprop_delta_row_mismatch():
-    with pytest.raises(ValueError, match="3 rows but deltas length 2"):
-        nn.backprop_delta(np.ones(2), np.ones((3, 4)))
-
-
-def test_backprop_delta_equals_dense_d_input():
-    rng = np.random.default_rng(10)
-    W = rng.standard_normal((4, 6))
-    for lead in [(), (3,)]:  # one delta vector, then a (B,M) batch of them
-        deltas = rng.standard_normal(lead + (4,))
-        via_dense = nn.dense(rng.standard_normal(lead + (6,)), W, np.zeros(4),
-                             upstream=deltas).d_input
-        npt.assert_array_equal(nn.backprop_delta(deltas, W), via_dense)
-
 
 def test_sgd_zero_gradient():
     p = np.array([1.0, 2.0])
@@ -666,7 +646,6 @@ def test_ops_compute_in_the_dtype_they_are_given():
         "dense d_input": grad.d_input,
         "dense d_W": grad.d_params["W"],
         "dense d_b": grad.d_params["b"],
-        "backprop_delta": nn.backprop_delta(up, W),
         "relu": nn.relu(x),
         "relu d_input": nn.relu(x, upstream=x).d_input,
         "softmax": p,

@@ -81,6 +81,23 @@ def test_truncated_final_tensor_names_it(tmp_path, tq_model):
         load_weights(path)
 
 
+@pytest.mark.parametrize("magic", [b"QSN1", b"QSA1"])
+def test_bytes_past_the_last_tensor_are_a_data_error(tmp_path, tq_model, magic):
+    path = tmp_path / "c.bin"
+    if magic == b"QSN1":
+        save_weights(tq_model, path)
+    else:
+        save_adversarial_batch(AdversarialBatch(np.zeros((2, 3)), np.ones((2, 3)), np.arange(2),
+                                                AttackSpec(kind="fgsm")), path)
+    read_container(path, magic)  # the file as written reads
+    path.write_bytes(path.read_bytes() + bytes(25))
+    with pytest.raises(DataError, match=re.escape(f"{path}: 25 bytes past the last tensor")):
+        read_container(path, magic)
+    load = load_weights if magic == b"QSN1" else load_adversarial_batch
+    with pytest.raises(DataError, match="25 bytes"):
+        load(path)
+
+
 def test_shape_mismatch_against_config(tmp_path):
     model = build_model(TINY_CONFIG)
     tensors = dict(model.params)

@@ -14,9 +14,10 @@ and how many differ:
   layer: the forward, the full backward's three gradients and the
   input-only backward's input gradient, each without and with a
   BufferPool.
-- model passes: a TQ n=4 z=5 model of each stack at each batch size, one
-  training pass (probabilities, every gradient, the quantizer delta) and
-  one input-gradient pass (probabilities, input gradient).
+- model passes: an undefended, a CQ and a TQ n=4 z=5 model of each stack
+  at each batch size, one training pass (probabilities, every gradient,
+  the TQ quantizer delta) and one input-gradient pass (probabilities,
+  input gradient, and the caller's images after it).
 - trained files: a default-stack TQ n=4 z=5 model trained one epoch on
   140 random images at each trained batch size, its .qsn file, FGSM,
   C&W and JSMA .qsa files and an evaluate report of each.
@@ -92,19 +93,22 @@ def _conv_cases(np, nn, batches) -> dict:
 def _model_passes(np, qmodel, batches) -> dict:
     out = {}
     for si, (name, (shape, stack)) in enumerate(STACKS.items()):
-        config = qmodel.ModelConfig(input_shape=shape, defense="tq", levels=4, steepness=5.0,
-                                    architecture=stack, seed=si, loss="cross_entropy")
-        model = qmodel.build_model(config)
-        for n in batches:
-            rng = np.random.default_rng([si, n, 1])
-            x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
-            probs, cache = model.forward_batch(x, keep_cache=True)
-            _, d_logits = model.loss_and_grad_batch(probs, labels)
-            grads, delta = model.backward_batch(cache, d_logits)
-            out[f"{name}/n{n}/training"] = _digest(
-                probs, *(grads[k] for k in sorted(grads)), delta)
-            probs, d_raw = model.input_gradient_batch(x, labels)
-            out[f"{name}/n{n}/input_gradient"] = _digest(probs, d_raw)
+        for defense in ("none", "cq", "tq"):
+            config = qmodel.ModelConfig(input_shape=shape, defense=defense, levels=4,
+                                        steepness=5.0, architecture=stack, seed=si,
+                                        loss="cross_entropy")
+            model = qmodel.build_model(config)
+            for n in batches:
+                rng = np.random.default_rng([si, n, 1])
+                x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
+                probs, cache = model.forward_batch(x, keep_cache=True)
+                _, d_logits = model.loss_and_grad_batch(probs, labels)
+                grads, delta = model.backward_batch(cache, d_logits)
+                deltas = () if delta is None else (delta,)
+                out[f"{name}/{defense}/n{n}/training"] = _digest(
+                    probs, *(grads[k] for k in sorted(grads)), *deltas)
+                probs, d_raw = model.input_gradient_batch(x, labels)
+                out[f"{name}/{defense}/n{n}/input_gradient"] = _digest(probs, d_raw, x)
     return out
 
 

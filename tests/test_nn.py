@@ -117,16 +117,26 @@ def test_dense_identity():
     x = np.array([0.3, -1.2, 4.0])
     out = nn.dense(x, np.eye(3), np.zeros(3))
     npt.assert_array_equal(out, x)
-    deltas = np.array([1.0, -2.0, 3.0])
-    npt.assert_array_equal(nn.dense(x, np.eye(3), np.zeros(3), upstream=deltas).d_input, deltas)
 
 
 def test_dense_hand_arithmetic():
     out = nn.dense(np.array([1.0, 2.0]),
                    np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
     npt.assert_array_equal(out, [3.0, 2.0])
+
+
+def test_backprop_delta_identity():
+    # the delta carried back through a dense layer is upstream @ W
+    x = np.array([0.3, -1.2, 4.0])
+    deltas = np.array([1.0, -2.0, 3.0])
+    npt.assert_array_equal(
+        nn.dense(x, np.eye(3), np.zeros(3), upstream=deltas).d_input, deltas)
+
+
+def test_backprop_delta_single_neuron():
     # one neuron: d_input = W * delta
-    grad = nn.dense(np.array([5.0]), np.array([[2.0]]), np.zeros(1), upstream=np.array([3.0]))
+    grad = nn.dense(np.array([5.0]), np.array([[2.0]]), np.zeros(1),
+                    upstream=np.array([3.0]))
     npt.assert_array_equal(grad.d_input, [6.0])
 
 

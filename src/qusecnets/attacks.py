@@ -266,12 +266,12 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
 
 def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
                  spec: AttackSpec):
-    """Shared C&W descent over a batch; returns (perturbed, objective trace).
+    """Shared C&W descent over a batch; returns the perturbed batch.
 
     pivots[i] is the target class when spec.targeted, else the true class
     the attack pushes away from. The epsilon box is enforced every step by
     clipping in tanh space (monotone, so equivalent to the pixel-space
-    projection). Trace has shape (iterations, N).
+    projection). Memory does not grow with spec.iterations.
     """
     n = len(x0)
     lo = np.maximum(x0 - spec.epsilon, 0.0)
@@ -279,7 +279,6 @@ def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
     w_lo, w_hi = _to_tanh_space(lo), _to_tanh_space(hi)
     w = np.clip(_to_tanh_space(x0), w_lo, w_hi)
     rows = np.arange(n)
-    objectives = np.empty((spec.iterations, n))
     for step in range(spec.iterations):
         x_adv = _from_tanh_space(w)
         probs, cache = model.forward_batch(x_adv, keep_cache=True)
@@ -295,7 +294,6 @@ def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
         obj = (delta * delta).reshape(n, -1).sum(axis=1) + spec.c * margin
         if not np.all(np.isfinite(obj)):
             raise DivergedError(f"cw_l2 objective diverged at step {step}")
-        objectives[step] = obj
         d_logits = np.zeros_like(logits)
         active = diff > -spec.kappa
         sgn = 1.0 if spec.targeted else -1.0
@@ -308,7 +306,7 @@ def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
     x_adv = _from_tanh_space(w) if spec.iterations > 0 else x0.copy()
     # exact budget contract regardless of float round-trip noise
     x_adv = np.clip(x0 + np.clip(x_adv - x0, -spec.epsilon, spec.epsilon), 0.0, 1.0)
-    return x_adv, objectives
+    return x_adv
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,8 @@ def generate_batch(model: Model, images: np.ndarray, labels: np.ndarray,
         perturbed = np.empty_like(images)
         for start in range(0, len(images), CHUNK):
             stop = start + CHUNK
-            perturbed[start:stop], _ = _cw_optimize(model, images[start:stop],
-                                                    pivots[start:stop], spec)
+            perturbed[start:stop] = _cw_optimize(model, images[start:stop],
+                                                 pivots[start:stop], spec)
     else:  # jsma
         perturbed = np.empty_like(images)
         for i in range(len(images)):

@@ -16,49 +16,13 @@ block on its unflattened input (dense's backward gives the same bytes),
 and the cross-entropy loss goes to d logits in closed form (cross_entropy
 is its d/dP).
 
-The batched conv copies its input once, through a window view, into a
-row-patch matrix (one width shift per kernel column) and runs one GEMM
-per kernel row over a contiguous block of it, so no k*k patch (im2col)
-matrix is ever built. The forward runs one tile of output rows at a time
-and the input gradient one tile of input rows, so partial sums stay in
-cache. A tile holds whole image rows, ~TILE_ROWS GEMM rows or more, and
-an input-gradient tile also ~TILE_BYTES or more of GEMM rows x
-max(k*Cin, Cout) float64s. Each element is summed in the untiled order
-(kernel row ascending, bias last, kernel column ascending).
-
-A GEMM's orientation is the memory layout of the array it writes: BLAS
-packs its two operands differently (Goto & van de Geijn, ACM TOMS 34(3),
-2008), so C and C.T of one product run at different speeds, and
-np.matmul runs the transposed call when `out` is a transposed view. Each
-kernel row's gradient is written into a (k*Cin, Cout) view of
-(Cout, k*Cin) memory. A wide layer (k*Cin >= WIDE_DEPTH over
->= TILE_ROWS GEMM rows) sums its forward tiles in (tile, Cout) views of
-(Cout, tile) memory, and every other forward tile is C-ordered. The
-measurements behind these rules are in CHANGES.md, in the entries on
-cache-tiled conv kernels, conv scratch for one layer and the training
-convs' BLAS orientation. Tiling changes no byte of a backward or of a
-narrow forward. Where a wide tile's GEMM row count is not a multiple of
-8, BLAS's edge kernels may round part of it apart, at rounding level,
-from the narrow forward and from a tiling that puts those rows elsewhere.
-
-With a BufferPool, only a conv's output outlives its call in a buffer of
-its own, "<key>.out" (read by the next layer). Two buffers are keyed by
-role and shared by the layers, sized to the largest request. "part" holds
-one forward tile's per-kernel-row GEMM result in a narrow layer, or a
-wide layer's (Cout, tile) sum. "rows" holds the row-patch matrix, rebuilt
-from the input by a training backward; once the kernel gradient has read
-it, it holds one input-gradient tile of the row-gradient matrix beside
-that tile's per-kernel-row GEMM result. Past those, a backward puts its
-scratch into memory whose contents are dead, sharing buffers by liveness
-as in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
-(arXiv:1604.06174). The input gradient goes where the caller says, else
-to "<key>.dinput", a default that only callers outside the model take:
-the model hands every conv its own input, dead by then. That is the
-output of the layer below, or for the bottom conv the quantizer's output
-or the model's copy of the images. So every upstream the model passes a
-conv is H'-major already: the dense layer's d_input over the top conv's
-"<key>.out", or an upper conv's over a lower one's. The kernel gradient
-takes no scratch: its GEMMs write into the d_kernels it returns.
+The batched conv states each of its rules in the docstring of the
+function that applies it: the row-patch layout in row_patches, tiling in
+_tiles, GEMM orientation, the wide forward and "<key>.out" in
+conv_forward_batch, and the input-gradient scratch and destination in
+conv_backward_batch. The measurements behind them are in CHANGES.md, in
+the entries on cache-tiled conv kernels, conv scratch for one layer, the
+training convs' BLAS orientation and one tiling rule for both passes.
 """
 
 from __future__ import annotations
@@ -74,7 +38,6 @@ from .errors import checked
 
 Tensor = np.ndarray
 TILE_ROWS = 2048  # least GEMM rows per conv tile, and per wide forward
-TILE_BYTES = 3 << 19  # least bytes per input-gradient tile: TILE_ROWS rows of 96 float64s
 WIDE_DEPTH = 256  # least k*Cin of a wide forward, whose tiles sum in (Cout, tile) memory
 
 
@@ -122,18 +85,17 @@ def _take(pool: BufferPool | None, key: str, shape: tuple) -> Tensor:
     return np.empty(shape) if pool is None else pool.get(key, shape)
 
 
-def _tiles(rows: int, stride: int, width: int | None = None) -> list:
+def _tiles(rows: int, stride: int) -> list:
     """Near-equal [start, stop) tiles of image rows of stride GEMM rows each.
 
-    As many tiles as keep each ~TILE_ROWS GEMM rows or more. Given the
-    width of the tile's GEMMs (an input-gradient pass), no more than its
-    bytes need at TILE_BYTES a tile: a skinny layer's tiles cost more in
-    calls than they save in cache there, though its forward gains from them.
+    The forward runs one tile of output rows at a time and the input
+    gradient one tile of input rows, so partial sums stay in cache. Both
+    take as many tiles as keep each ~TILE_ROWS GEMM rows or more. Each
+    element is summed in the untiled order (kernel row ascending, bias
+    last, kernel column ascending), so tiling changes no byte of a backward
+    or of a narrow forward.
     """
-    count = min(rows, rows * stride // TILE_ROWS)
-    if width is not None:
-        count = min(count, 8 * rows * stride * width // TILE_BYTES)
-    count = max(1, count)
+    count = max(1, min(rows, rows * stride // TILE_ROWS))
     bounds = [rows * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -141,10 +103,12 @@ def _tiles(rows: int, stride: int, width: int | None = None) -> list:
 def row_patches(x: Tensor, k: int, pool: BufferPool | None = None, fill: bool = True) -> Tensor:
     """The (H*N*W', k*Cin) row-patch matrix of a (N,H,W,Cin) batch for a k-wide kernel.
 
-    Row (r, n, j) holds x[n, r, j:j+k, :], copied once through a window view.
-    With a pool it is the shared "rows" buffer, valid until the next call on
-    the pool that takes it. fill=False takes it unfilled, for a backward
-    that reads no rows.
+    Row (r, n, j) holds x[n, r, j:j+k, :], copied once through a window view
+    (one width shift per kernel column), so a conv runs one GEMM per kernel
+    row over a contiguous block of it and no k*k (im2col) patch matrix is
+    ever built. With a pool it is the shared "rows" buffer, valid until the
+    next call on the pool that takes it. fill=False takes it unfilled, for a
+    backward that reads no rows.
     """
     n, h, w, cin = x.shape
     ow = w - k + 1
@@ -166,9 +130,16 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     with each later GEMM in "part". A wide one (k*Cin >= WIDE_DEPTH over
     >= TILE_ROWS GEMM rows) sums in "part" and puts each later GEMM in the
     output tile, dead until the bias add; both are (tile, Cout) views of
-    (Cout, tile) memory, so BLAS runs the transposed call. With a pool the
-    output lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major
-    memory), valid until the next forward that takes the key.
+    (Cout, tile) memory, so BLAS runs the transposed call. A GEMM's
+    orientation is the memory layout of the array it writes: BLAS packs its
+    two operands differently (Goto & van de Geijn, ACM TOMS 34(3), 2008),
+    so C and C.T of one product run at different speeds. Where a wide
+    tile's GEMM row count is not a multiple of 8, BLAS's edge kernels may
+    round part of it apart, at rounding level, from the narrow forward and
+    from a tiling that puts those rows elsewhere. With a pool the output
+    lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major memory),
+    the one forward buffer that outlives the call, valid until the next
+    forward that takes the key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -216,10 +187,15 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     that memory.
 
     With a pool it writes only "rows", which rows may be, and its d_input
-    destination. Each input-gradient tile takes its row gradients and GEMM
-    result from "rows" after the kernel gradient, the last reader of rows;
-    a pass without need_params reads no rows at all. An upstream that is
-    not H'-major is copied into a new H'-major array first.
+    destination, so its scratch lies in memory whose contents are dead,
+    shared by liveness as in Chen et al., "Training Deep Nets with
+    Sublinear Memory Cost" (arXiv:1604.06174). Each input-gradient tile
+    takes its row gradients and GEMM result from "rows" after the kernel
+    gradient, the last reader of rows; a pass without need_params reads no
+    rows at all. An upstream that is not H'-major is copied into a new
+    H'-major array first. The model never needs that copy: the dense layer
+    writes its d_input over the top conv's "<key>.out", and an upper conv
+    over the output of the one below.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
@@ -237,7 +213,7 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_bias = up.sum(axis=0)
     if need_input:
         d_x = _take(pool, key + ".dinput", (h, n, w, cin)) if into is None else into
-        tiles = _tiles(h, stride, max(k * cin, cout))
+        tiles = _tiles(h, stride)
         size = max(b - a for a, b in tiles) * stride
         d_rows, part = np.split(_take(pool, "rows", (2 * size, k * cin)), 2)
         for a, b in tiles:  # input rows [a, b) take output row r - ki from kernel row ki

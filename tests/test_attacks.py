@@ -408,14 +408,49 @@ def test_cw_budget_contract(victim):
     assert batch.perturbed.min() >= 0.0 and batch.perturbed.max() <= 1.0
 
 
-def test_cw_objective_mostly_non_increasing(victim):
+def test_cw_objective_mostly_non_increasing(victim, monkeypatch):
+    """Each step's objective, rebuilt from the images and logits of its forward."""
     model, ds = victim
     spec = AttackSpec(kind="cw_l2", targeted=True, iterations=60, epsilon=0.5,
                       step_size=0.01)
+    x0 = ds.images[:6]
     pivots = next_class_targets(ds.labels[:6])
-    _, objectives = _cw_optimize(model, ds.images[:6], pivots, spec)
+    steps = []
+    forward = Model.forward_batch
+
+    def recorded(model, x, keep_cache=False):
+        probs, cache = forward(model, x, keep_cache)
+        steps.append((x.copy(), cache["logits"].copy()))
+        return probs, cache
+
+    monkeypatch.setattr(Model, "forward_batch", recorded)
+    _cw_optimize(model, x0, pivots, spec)
+    rows = np.arange(len(x0))
+    objectives = []
+    for x, logits in steps:
+        others = logits.copy()
+        others[rows, pivots] = -np.inf
+        margin = np.maximum(others.max(axis=1) - logits[rows, pivots], -spec.kappa)
+        delta = x - x0
+        objectives.append((delta * delta).reshape(len(x0), -1).sum(axis=1) + spec.c * margin)
+    assert len(objectives) == spec.iterations
     increases = (np.diff(objectives, axis=0) > 1e-9).mean()
     assert increases <= 0.05
+
+
+def test_cw_takes_its_first_step_before_any_allocation_sized_by_iterations(victim, monkeypatch):
+    model, ds = victim
+
+    class FirstStep(Exception):
+        pass
+
+    def first_forward(model, x, keep_cache=False):
+        raise FirstStep
+
+    monkeypatch.setattr(Model, "forward_batch", first_forward)
+    spec = AttackSpec(kind="cw_l2", iterations=10**12)
+    with pytest.raises(FirstStep):
+        generate_batch(model, ds.images[:8], ds.labels[:8], spec)
 
 
 def test_cw_overflowing_objective_is_diverged(victim):
@@ -457,7 +492,7 @@ def test_cw_batch_forwards_at_most_chunk_images(victim, monkeypatch):
     batch = generate_batch(model, ds.images, ds.labels, spec)
     assert max(sizes) <= CHUNK
     monkeypatch.undo()
-    whole, _ = _cw_optimize(model, ds.images[:CHUNK], ds.labels[:CHUNK], spec)
+    whole = _cw_optimize(model, ds.images[:CHUNK], ds.labels[:CHUNK], spec)
     npt.assert_array_equal(batch.perturbed[:CHUNK], whole)
 
 

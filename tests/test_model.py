@@ -713,8 +713,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
 
     A layer of H rows, N*W' GEMM rows each, splits into count =
     max(1, min(H, H*N*W' // TILE_ROWS)) near-equal tiles of whole rows,
-    output rows forward and input rows backward, and backward into no more
-    than 8*H*N*W'*max(k*Cin, Cout) // TILE_BYTES. part holds one forward
+    output rows forward and input rows backward. part holds one forward
     tile: a wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows)
     takes one (Cout, tile) plane of it, as a narrow one takes one (tile, Cout).
     rows holds the largest layer's row patches, and after each kernel
@@ -728,15 +727,13 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
                                        ("dense", 10)), seed=1)
     n = 5
     # every layer one tile; several forward tiles per layer, and backward tiles
-    # capped by their bytes (conv0's to 1 of 6, conv1's to 2 of 4, conv2's to 1 of 2);
-    # and conv0 (k*Cin 3, 500 GEMM rows) forward as a wide layer in one tile,
-    # every backward in one tile
-    for tile_rows, tile_bytes, wide_depth, split in (
-            (nn.TILE_ROWS, nn.TILE_BYTES, nn.WIDE_DEPTH, False),
-            (100, 8 * 100 * 20, nn.WIDE_DEPTH, True),
-            (500, nn.TILE_BYTES, 3, False)):
+    # 6/4/2 for conv0/conv1/conv2; and conv0 (k*Cin 3, 500 GEMM rows) forward
+    # as a wide layer in one tile, every backward in one tile
+    for tile_rows, wide_depth, split in (
+            (nn.TILE_ROWS, nn.WIDE_DEPTH, False),
+            (100, nn.WIDE_DEPTH, True),
+            (500, 3, False)):
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
-        monkeypatch.setattr(nn, "TILE_BYTES", tile_bytes)
         monkeypatch.setattr(nn, "WIDE_DEPTH", wide_depth)
         rng = np.random.default_rng(0)
         model = build_model(config)
@@ -744,10 +741,8 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
         _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
         model.backward_batch(cache, d_logits)
 
-        def tile(rows, stride, width=None):  # GEMM rows of the largest tile
+        def tile(rows, stride):  # GEMM rows of the largest tile
             count = min(rows, rows * stride // tile_rows)
-            if width is not None:
-                count = min(count, 8 * rows * stride * width // tile_bytes)
             return -(-rows // max(1, count)) * stride
 
         outs = part = dtile = whole = 0
@@ -757,7 +752,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             stride, m = n * ow, oh * n * ow
             outs += m * cout
             part = max(part, tile(oh, stride) * cout)  # forward tiles only
-            dtile = max(dtile, tile(h, stride, max(k * cin, cout)) * k * cin)
+            dtile = max(dtile, tile(h, stride) * k * cin)
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
         bufs = model._pool._bufs

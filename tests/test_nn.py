@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import conv2d_naive, max_rel_err
 from qusecnets import nn
@@ -463,7 +465,7 @@ def test_pool_views_share_the_buffer_until_a_larger_request():
 def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
     """Two stacked layers on one pool, called in model order, as batch and size change.
 
-    Once in one tile a layer, and once in tiles of one or two image rows,
+    Once in one tile a layer, and once in tiles of one image row,
     where each input-gradient tile's scratch lies inside the row patches
     the kernel gradient read before it.
     """
@@ -477,15 +479,14 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
             taken.append((key, super().get(key, shape)))
             return taken[-1][1]
 
-    for tile_rows, tile_bytes, split in ((nn.TILE_ROWS, nn.TILE_BYTES, False), (4, 8, True)):
+    for tile_rows, split in ((nn.TILE_ROWS, False), (4, True)):
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
-        monkeypatch.setattr(nn, "TILE_BYTES", tile_bytes)
         pool = Pool()
         for shape in [(2, 6, 5, 2), (3, 5, 7, 2), (2, 6, 5, 2)]:
             xs = rng.standard_normal(shape)
             mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
             upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
-            assert (len(nn._tiles(shape[1], shape[0] * (shape[2] - 2), 6)) > 1) == split
+            assert (len(nn._tiles(shape[1], shape[0] * (shape[2] - 2))) > 1) == split
             fresh_a = nn.conv_forward_batch(xs, ka, ba)
             fresh_b = nn.conv_forward_batch(fresh_a, kb, bb)
             fresh_rows_a, fresh_rows_b = nn.row_patches(xs, 3), nn.row_patches(fresh_a, 2)
@@ -532,28 +533,54 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
             assert out_b.tobytes() == outs[1].tobytes()
 
 
+@given(rows=st.integers(1, 80), stride=st.integers(1, 5000))
+def test_tiles_cover_the_rows_in_near_equal_tiles_of_enough_gemm_rows(rows, stride):
+    tiles = nn._tiles(rows, stride)
+    assert tiles[0][0] == 0 and tiles[-1][1] == rows
+    assert all(b == c for (_, b), (c, _) in zip(tiles, tiles[1:]))
+    sizes = [b - a for a, b in tiles]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert len(tiles) <= rows
+    assert (len(tiles) == 1) == (rows == 1 or rows * stride < 2 * nn.TILE_ROWS)
+    if len(tiles) > 1:
+        assert min(sizes) * stride > nn.TILE_ROWS - stride
+
+
 @pytest.mark.parametrize("tile_rows", [nn.TILE_ROWS, 3000])
 def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_rows):
-    """Forward, input-only backward and full backward of a (64,21,21,16) k=6 layer."""
+    """Forward, input-only backward and full backward of a (64,21,21,16) k=6 layer.
+
+    Also of the quarter stack's conv0 at batch 64 (Cin 1, k 8, Cout 16),
+    whose input gradient runs in 18 tiles at the default TILE_ROWS.
+    """
     rng = np.random.default_rng(15)
-    xs = rng.random((64, 21, 21, 16))
-    kernels = rng.standard_normal((6, 6, 16, 32)) * 0.1
-    bias = rng.standard_normal(32)
-    upstream = rng.standard_normal((64, 16, 16, 32))
+    for (n, h, w, cin), k, cout in (((64, 21, 21, 16), 6, 32), ((64, 28, 28, 1), 8, 16)):
+        oh, ow = h - k + 1, w - k + 1
+        xs = rng.random((n, h, w, cin))
+        kernels = rng.standard_normal((k, k, cin, cout)) * 0.1
+        bias = rng.standard_normal(cout)
+        upstream = rng.standard_normal((n, oh, ow, cout))
 
-    def run():
-        out = nn.conv_forward_batch(xs, kernels, bias)
-        rows = nn.row_patches(xs, 6)
-        _, _, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape, need_params=False)
-        return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
+        def run():
+            out = nn.conv_forward_batch(xs, kernels, bias)
+            rows = nn.row_patches(xs, k)
+            _, _, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
+                                                need_params=False)
+            return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
 
-    monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
-    assert len(nn._tiles(16, 64 * 16)) > 1 and len(nn._tiles(21, 64 * 16, 96)) > 1
-    tiled = run()
-    monkeypatch.setattr(nn, "TILE_ROWS", 10**9)
-    assert len(nn._tiles(16, 64 * 16)) == len(nn._tiles(21, 64 * 16, 96)) == 1
-    for a, b in zip(tiled, run(), strict=True):
-        assert a.tobytes() == b.tobytes()
+        def counts():  # forward and input-gradient tiles
+            return len(nn._tiles(oh, n * ow)), len(nn._tiles(h, n * ow))
+
+        if cin == 1:
+            assert counts()[1] == 18
+        monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
+        assert min(counts()) > 1
+        tiled = run()
+        monkeypatch.setattr(nn, "TILE_ROWS", 10**9)
+        assert counts() == (1, 1)
+        for a, b in zip(tiled, run(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        monkeypatch.undo()
 
 
 def _conv_layers(shape, stack):

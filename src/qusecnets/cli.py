@@ -1,9 +1,11 @@
 """Command-line interface: train | attack | evaluate | sweep | report.
 
-Exit codes: 0 success, 1 usage error, 2 data/model error. Every run appends
+Exit codes: 0 success, 1 usage error, 2 data/model error, and 128 + the
+signal number when SIGTERM or SIGINT stops the command. Every run appends
 one JSON line to the run log ($QSN_RUN_LOG, default ./qsn_runs.jsonl), a
-crash included: time, argv, status, error_type (null on success),
-duration_s, peak_rss_mb and the package version.
+crash or a stop included: time, argv, status, error_type (null on success,
+the signal's name on a stop), duration_s, peak_rss_mb and the package
+version.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -239,11 +242,20 @@ def _append_run_log(argv, status: int, error_type: str | None, duration_s: float
         pass  # logging must never break the run
 
 
+class Stopped(BaseException):
+    """A signal that main() raises as an exception, so cli() logs the run."""
+
+    def __init__(self, signum: int):
+        super().__init__(signum)
+        self.signum = signum
+
+
 def cli(argv) -> int:
     """Run one CLI invocation; returns the process exit code.
 
     The run-log line is written whatever happens; an exception that is
     not a usage or data error is logged with status 1, then re-raised.
+    A Stopped is logged under its signal's name with status 128 + signum.
     """
     argv = list(argv)
     start = time.monotonic()
@@ -259,6 +271,9 @@ def cli(argv) -> int:
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         status, error_type = 2, type(e).__name__
+    except Stopped as e:
+        status, error_type = 128 + e.signum, signal.Signals(e.signum).name
+        print(f"stopped by {error_type}", file=sys.stderr)
     except Exception as e:
         error_type = type(e).__name__
         raise
@@ -268,6 +283,18 @@ def cli(argv) -> int:
 
 
 def main():
+    """The console command: SIGTERM and SIGINT raise Stopped, so the run is logged.
+
+    Python's default SIGTERM action ends the process without unwinding,
+    and click turns a KeyboardInterrupt into a bare Abort. A signal the
+    process was started ignoring stays ignored.
+    """
+    def stop(signum, frame):
+        raise Stopped(signum)
+
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            signal.signal(signum, stop)
     sys.exit(cli(sys.argv[1:]))
 
 

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import checked
 
 Tensor = np.ndarray
-TILE_ROWS = 2048  # least GEMM rows per conv tile, and per wide forward
+TILE_ROWS = 2048  # least scratch rows per conv tile, and GEMM rows per wide forward
 WIDE_DEPTH = 256  # least k*Cin of a wide forward, whose tiles sum in (Cout, tile) memory
 
 
@@ -86,11 +86,14 @@ def _take(pool: BufferPool | None, key: str, shape: tuple) -> Tensor:
 
 
 def _tiles(rows: int, stride: int) -> list:
-    """Near-equal [start, stop) tiles of image rows of stride GEMM rows each.
+    """Near-equal [start, stop) tiles of image rows of stride scratch rows each.
 
     The forward runs one tile of output rows at a time and the input
     gradient one tile of input rows, so partial sums stay in cache. Both
-    take as many tiles as keep each ~TILE_ROWS GEMM rows or more. Each
+    take as many tiles as keep each ~TILE_ROWS scratch rows or more. A
+    forward tile's scratch has one row per GEMM row, so its stride is an
+    image row's GEMM rows; an input-gradient tile's has two (see
+    conv_backward_batch), so its stride is twice them. Each
     element is summed in the untiled order (kernel row ascending, bias
     last, kernel column ascending), so tiling changes no byte of a backward
     or of a narrow forward.
@@ -192,7 +195,12 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     Sublinear Memory Cost" (arXiv:1604.06174). Each input-gradient tile
     takes its row gradients and GEMM result from "rows" after the kernel
     gradient, the last reader of rows; a pass without need_params reads no
-    rows at all. An upstream that is not H'-major is copied into a new
+    rows at all. So a tile counts its scratch twice, _tiles(H, 2*N*W'): a
+    layer of TILE_ROWS row patches or more, whose one tile would take
+    2*TILE_ROWS scratch rows or more, splits into tiles of at most (H+1)/2
+    input rows, whose scratch fits in its own row patches plus one image
+    row; a smaller layer stays one tile, whose scratch is twice its
+    patches. An upstream that is not H'-major is copied into a new
     H'-major array first. The model never needs that copy: the dense layer
     writes its d_input over the top conv's "<key>.out", and an upper conv
     over the output of the one below.
@@ -213,7 +221,7 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_bias = up.sum(axis=0)
     if need_input:
         d_x = _take(pool, key + ".dinput", (h, n, w, cin)) if into is None else into
-        tiles = _tiles(h, stride)
+        tiles = _tiles(h, 2 * stride)
         size = max(b - a for a, b in tiles) * stride
         d_rows, part = np.split(_take(pool, "rows", (2 * size, k * cin)), 2)
         for a, b in tiles:  # input rows [a, b) take output row r - ki from kernel row ki

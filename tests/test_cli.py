@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -538,3 +540,49 @@ def test_the_documented_module_entry_point(tmp_path):
     assert shown.stdout.startswith("Usage: ")
     assert run("report", str(tmp_path / "missing.json")).returncode == 2
     assert [entry["status"] for entry in _run_log(tmp_path)] == [0, 2]
+
+
+# the console command, announcing in the file argv[1] that its attack has begun
+ANNOUNCED_ATTACK = """
+import sys
+from pathlib import Path
+from qusecnets import cli
+
+attack, begun = cli.generate_batch, Path(sys.argv.pop(1))
+
+def announced(*args, **kwargs):
+    begun.touch()
+    return attack(*args, **kwargs)
+
+cli.generate_batch = announced
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_a_signal_stops_the_command_and_is_logged(env, signum):
+    """A stopped C&W run exits 128 + signum and leaves a run-log line naming the signal."""
+    assert cli(["train", "--epochs", "0", "--train-count", "8", "--out", "m.qsn"]) == 0
+    src = Path(qusecnets.__file__).resolve().parent.parent
+    child_env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["attack", "--model", "m.qsn", "--method", "cw_l2", "--iterations", "1000000000",
+            "--count", "8", "--out", "adv.qsa"]
+    child = subprocess.Popen([sys.executable, "-c", ANNOUNCED_ATTACK, str(env / "begun"), *argv],
+                             env=child_env, cwd=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (env / "begun").exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child.send_signal(signum)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    name = signal.Signals(signum).name
+    assert child.returncode == 128 + signum
+    assert f"stopped by {name}" in err
+    entry = _run_log(env)[-1]
+    assert (entry["argv"], entry["status"], entry["error_type"]) == (argv, 128 + signum, name)
+    assert not (env / "adv.qsa").exists()

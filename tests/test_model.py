@@ -711,24 +711,26 @@ def test_train_aborts_on_nan_loss_naming_batch():
 def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
     """After a TQ step: out per conv, and one rows/part for all convs.
 
-    A layer of H rows, N*W' GEMM rows each, splits into count =
-    max(1, min(H, H*N*W' // TILE_ROWS)) near-equal tiles of whole rows,
-    output rows forward and input rows backward. part holds one forward
-    tile: a wide forward (k*Cin >= WIDE_DEPTH over >= TILE_ROWS GEMM rows)
-    takes one (Cout, tile) plane of it, as a narrow one takes one (tile, Cout).
-    rows holds the largest layer's row patches, and after each kernel
-    gradient two input-gradient tiles of k*Cin columns (row gradients and a
-    GEMM result). The dense layer's d_input goes over the top conv's out,
-    an upper conv's over the lower conv's output, and conv0's over the
-    quantizer's output, which no pool buffer holds.
+    A layer's H' output rows, N*W' GEMM rows each, split forward into
+    max(1, min(H', H'*N*W' // TILE_ROWS)) near-equal tiles of whole rows,
+    and its H input rows backward into max(1, min(H, 2*H*N*W' // TILE_ROWS)),
+    as each input-gradient tile takes twice its GEMM rows of scratch. part
+    holds one forward tile: a wide forward (k*Cin >= WIDE_DEPTH over >=
+    TILE_ROWS GEMM rows) takes one (Cout, tile) plane of it, as a narrow one
+    takes one (tile, Cout). rows holds the largest layer's row patches, and
+    after each kernel gradient one input-gradient tile's two blocks of k*Cin
+    columns (row gradients and a GEMM result). The dense layer's d_input
+    goes over the top conv's out, an upper conv's over the lower conv's
+    output, and conv0's over the quantizer's output, which no pool buffer
+    holds.
     """
     config = ModelConfig(input_shape=(12, 12, 1), defense="tq", levels=4, steepness=5.0,
                          architecture=(("conv", 4, 3), ("conv", 6, 3), ("conv", 5, 2),
                                        ("dense", 10)), seed=1)
     n = 5
     # every layer one tile; several forward tiles per layer, and backward tiles
-    # 6/4/2 for conv0/conv1/conv2; and conv0 (k*Cin 3, 500 GEMM rows) forward
-    # as a wide layer in one tile, every backward in one tile
+    # 12/8/5 for conv0/conv1/conv2; and conv0 (k*Cin 3, 500 GEMM rows) forward
+    # as a wide layer in one tile, its backward in two and the others' in one
     for tile_rows, wide_depth, split in (
             (nn.TILE_ROWS, nn.WIDE_DEPTH, False),
             (100, nn.WIDE_DEPTH, True),
@@ -741,7 +743,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
         _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
         model.backward_batch(cache, d_logits)
 
-        def tile(rows, stride):  # GEMM rows of the largest tile
+        def tile(rows, stride):  # scratch rows of the largest tile
             count = min(rows, rows * stride // tile_rows)
             return -(-rows // max(1, count)) * stride
 
@@ -752,14 +754,44 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
             stride, m = n * ow, oh * n * ow
             outs += m * cout
             part = max(part, tile(oh, stride) * cout)  # forward tiles only
-            dtile = max(dtile, tile(h, stride) * k * cin)
+            dtile = max(dtile, tile(h, 2 * stride) * k * cin)  # both input-gradient blocks
             whole = max(whole, h * stride * k * cin)  # the rows of the largest layer
             h, w, cin = oh, ow, cout
         bufs = model._pool._bufs
         assert set(bufs) == {f"conv{i}.out" for i in range(3)} | {"rows", "part"}
         assert sum(b.nbytes for b in bufs.values()) == 8 * (
-            outs + max(whole, 2 * dtile) + part)
-        assert dtile < whole if split else dtile == whole
+            outs + max(whole, dtile) + part)
+        assert dtile < whole if split else dtile == 2 * whole
+
+
+@pytest.mark.parametrize("shape, defense, n, pass_, total, rows", [
+    ((32, 32, 3), "cq", 8, "train", 24_317_952, 13_107_200),  # 23.19 MiB; one tile a layer: 35.69
+    ((28, 28, 1), "tq", 64, "train", 109_084_672, 66_060_288),  # 104.03 MiB
+    ((32, 32, 3), "cq", 1, "input", 4_678_144, 3_276_800),  # 4.46 MiB
+    ((28, 28, 1), "cq", 1, "input", 2_961_920, 2_064_384),  # 2.82 MiB
+], ids=["32x32x3-cq-b8-train", "28x28x1-tq-b64-train", "32x32x3-cq-b1-input",
+        "28x28x1-cq-b1-input"])
+def test_default_stack_pool_bytes_after_one_pass(shape, defense, n, pass_, total, rows):
+    """The pool's bytes after one pass of the default stack, by input, batch and pass.
+
+    At batch 8 on 32x32x3, conv2's 20 input rows of 8*16 GEMM rows each
+    split into two input-gradient tiles, whose scratch fits in conv2's
+    (20*8*16, 5*128) row patches, so rows holds those patches once; one
+    tile a layer took twice them. The batch-64 step splits every layer, and
+    the batch-1 passes keep every layer in one tile, whose scratch is twice
+    conv2's patches.
+    """
+    model = build_model(ModelConfig(input_shape=shape, defense=defense))
+    rng = np.random.default_rng(0)
+    x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
+    if pass_ == "train":
+        probs, cache = model.forward_batch(x, keep_cache=True)
+        model.backward_batch(cache, model.loss_and_grad_batch(probs, labels)[1])
+    else:
+        model.input_gradient_batch(x, labels)
+    bufs = model._pool._bufs
+    assert bufs["rows"].nbytes == rows
+    assert sum(b.nbytes for b in bufs.values()) == total
 
 
 def test_a_model_built_from_float32_tensors_computes_in_float64():

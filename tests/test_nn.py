@@ -546,12 +546,21 @@ def test_tiles_cover_the_rows_in_near_equal_tiles_of_enough_gemm_rows(rows, stri
         assert min(sizes) * stride > nn.TILE_ROWS - stride
 
 
+@given(rows=st.integers(1, 80), stride=st.integers(1, 5000))
+def test_split_input_gradient_tiles_take_at_most_the_row_patches_and_one_row(rows, stride):
+    """An input-gradient tile takes two blocks of its rows: split, both fit in rows + 1."""
+    tiles = nn._tiles(rows, 2 * stride)
+    if len(tiles) > 1:
+        assert 2 * max(b - a for a, b in tiles) <= rows + 1
+
+
 @pytest.mark.parametrize("tile_rows", [nn.TILE_ROWS, 3000])
 def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_rows):
     """Forward, input-only backward and full backward of a (64,21,21,16) k=6 layer.
 
     Also of the quarter stack's conv0 at batch 64 (Cin 1, k 8, Cout 16),
-    whose input gradient runs in 18 tiles at the default TILE_ROWS.
+    whose input gradient runs in 28 tiles of one row at the default
+    TILE_ROWS.
     """
     rng = np.random.default_rng(15)
     for (n, h, w, cin), k, cout in (((64, 21, 21, 16), 6, 32), ((64, 28, 28, 1), 8, 16)):
@@ -569,10 +578,10 @@ def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_r
             return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
 
         def counts():  # forward and input-gradient tiles
-            return len(nn._tiles(oh, n * ow)), len(nn._tiles(h, n * ow))
+            return len(nn._tiles(oh, n * ow)), len(nn._tiles(h, 2 * n * ow))
 
         if cin == 1:
-            assert counts()[1] == 18
+            assert counts()[1] == 28
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
         assert min(counts()) > 1
         tiled = run()

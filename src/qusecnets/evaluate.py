@@ -74,6 +74,8 @@ def perturbation_stats(originals: np.ndarray, perturbed: np.ndarray):
     if originals.shape != perturbed.shape:
         raise ShapeMismatchError(
             f"originals shape {originals.shape} != perturbed {perturbed.shape}")
+    if originals.ndim == 0 or originals.size == 0:
+        raise DataError(f"perturbation stats need a non-empty batch, got shape {originals.shape}")
     delta = (perturbed - originals).reshape(len(originals), -1)
     l2_mean = float(np.sqrt((delta * delta).sum(axis=1)).mean())
     linf_max = float(np.abs(delta).max(initial=0.0))

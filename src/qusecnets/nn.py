@@ -5,10 +5,11 @@ the model hands them float64; only the convs fix theirs, as they compute
 into float64 scratch. There is no autodiff graph: each op either runs
 forward (``upstream=None``) or returns a LayerGrad holding the gradient of
 the cost w.r.t. its input and parameters, given the upstream gradient
-w.r.t. its output. Ops are pure functions, and each formula exists once.
-The model calls conv_forward_batch/conv_backward_batch, dense (forward
-only), softmax_batch, softmax_backward_batch and mse_cost, and sgd_update
-steps both its weights and, through quantize.update_thresholds, the TQ
+w.r.t. its output. Ops other than the batched conv are pure functions, and
+each formula exists once. The model calls
+conv_forward_batch/conv_backward_batch, dense (forward only),
+softmax_batch, softmax_backward_batch and mse_cost, and sgd_update steps
+both its weights and, through quantize.update_thresholds, the TQ
 thresholds. conv2d and softmax are the single-image and single-vector
 forms. Three ops only serve as references: the conv layer fuses its ReLU
 (relu's mask, applied in place), the dense layer's backward runs block by
@@ -16,13 +17,13 @@ block on its unflattened input (dense's backward gives the same bytes),
 and the cross-entropy loss goes to d logits in closed form (cross_entropy
 is its d/dP).
 
-The batched conv states each of its rules in the docstring of the
-function that applies it: the row-patch layout in row_patches, tiling in
-_tiles, GEMM orientation, the wide forward and "<key>.out" in
-conv_forward_batch, and the input-gradient scratch and destination in
-conv_backward_batch. The measurements behind them are in CHANGES.md, in
-the entries on cache-tiled conv kernels, conv scratch for one layer, the
-training convs' BLAS orientation and one tiling rule for both passes.
+The batched conv's caller owns all its memory: row_patches and both
+passes take the caller's BufferPool, and the backward writes d_input into
+the caller's `into`. Each rule is stated where it is applied: the
+row-patch layout in row_patches, tiling in _tiles, GEMM orientation, the
+wide forward and "<key>.out" in conv_forward_batch, and the
+input-gradient scratch and destination in conv_backward_batch, with the
+measurements behind them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class BufferPool:
         self._bufs.clear()
 
 
-def _take(pool: BufferPool | None, key: str, shape: tuple) -> Tensor:
-    return np.empty(shape) if pool is None else pool.get(key, shape)
-
-
 def _tiles(rows: int, stride: int) -> list:
     """Near-equal [start, stop) tiles of image rows of stride scratch rows each.
 
@@ -93,36 +90,36 @@ def _tiles(rows: int, stride: int) -> list:
     take as many tiles as keep each ~TILE_ROWS scratch rows or more. A
     forward tile's scratch has one row per GEMM row, so its stride is an
     image row's GEMM rows; an input-gradient tile's has two (see
-    conv_backward_batch), so its stride is twice them. Each
-    element is summed in the untiled order (kernel row ascending, bias
-    last, kernel column ascending), so tiling changes no byte of a backward
-    or of a narrow forward.
+    conv_backward_batch), so its stride is twice them. Each element is
+    summed in the untiled order (kernel row ascending, bias last, kernel
+    column ascending), so tiling changes no byte of a backward or of a
+    narrow forward.
     """
     count = max(1, min(rows, rows * stride // TILE_ROWS))
     bounds = [rows * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def row_patches(x: Tensor, k: int, pool: BufferPool | None = None, fill: bool = True) -> Tensor:
+def row_patches(x: Tensor, k: int, pool: BufferPool, fill: bool = True) -> Tensor:
     """The (H*N*W', k*Cin) row-patch matrix of a (N,H,W,Cin) batch for a k-wide kernel.
 
     Row (r, n, j) holds x[n, r, j:j+k, :], copied once through a window view
     (one width shift per kernel column), so a conv runs one GEMM per kernel
     row over a contiguous block of it and no k*k (im2col) patch matrix is
-    ever built. With a pool it is the shared "rows" buffer, valid until the
-    next call on the pool that takes it. fill=False takes it unfilled, for a
+    ever built. It is the pool's shared "rows" buffer, valid until the next
+    call on the pool that takes it. fill=False takes it unfilled, for a
     backward that reads no rows.
     """
     n, h, w, cin = x.shape
     ow = w - k + 1
-    rows = _take(pool, "rows", (h, n, ow, k, cin))
+    rows = pool.get("rows", (h, n, ow, k, cin))
     if fill:
         np.copyto(rows, sliding_window_view(x, k, axis=2).transpose(1, 0, 2, 4, 3))
     return rows.reshape(h * n * ow, k * cin)
 
 
 def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
-                       pool: BufferPool | None = None, key: str = "conv"):
+                       pool: BufferPool, key: str = "conv"):
     """Valid convolution of a (N,H,W,Cin) batch with (k,k,Cin,Cout) kernels.
 
     In rows = row_patches(x, k, pool) the patches of kernel row ki are the
@@ -139,10 +136,10 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     so C and C.T of one product run at different speeds. Where a wide
     tile's GEMM row count is not a multiple of 8, BLAS's edge kernels may
     round part of it apart, at rounding level, from the narrow forward and
-    from a tiling that puts those rows elsewhere. With a pool the output
-    lives in "<key>.out" (as an (N,H',W',Cout) view of H'-major memory),
-    the one forward buffer that outlives the call, valid until the next
-    forward that takes the key.
+    from a tiling that puts those rows elsewhere. The output lives in the
+    pool's "<key>.out" (as an (N,H',W',Cout) view of H'-major memory), the
+    one forward buffer that outlives the call, valid until the next forward
+    that takes the key.
     """
     n, h, w, cin = x.shape
     k = kernels.shape[0]
@@ -151,9 +148,9 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
     stride, m = n * ow, oh * n * ow
     rows = row_patches(x, k, pool)
     kern = kernels.reshape(k, k * cin, cout)
-    out = _take(pool, key + ".out", (m, cout))
+    out = pool.get(key + ".out", (m, cout))
     tiles = _tiles(oh, stride)
-    part = _take(pool, "part", (max(b - a for a, b in tiles) * stride, cout))
+    part = pool.get("part", (max(b - a for a, b in tiles) * stride, cout))
     wide = k * cin >= WIDE_DEPTH and m >= TILE_ROWS
     for a, b in tiles:
         o, t = out[a * stride:b * stride], (b - a) * stride
@@ -167,9 +164,8 @@ def conv_forward_batch(x: Tensor, kernels: Tensor, bias: Tensor,
 
 
 def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
-                        input_shape: tuple, need_input: bool = True,
-                        pool: BufferPool | None = None, key: str = "conv",
-                        need_params: bool = True, into: Tensor | None = None):
+                        input_shape: tuple, need_input: bool, pool: BufferPool,
+                        key: str = "conv", need_params: bool = True, *, into: Tensor):
     """Gradients of a valid conv from the row-patch matrix of its input.
 
     upstream is (N,H',W',Cout). Returns (d_kernels, d_bias, d_input);
@@ -184,26 +180,24 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
     (k*Cin, Cout) view of (Cout, k*Cin) memory, so BLAS runs the
     transposed call. d_kernels is thus a non-C-contiguous view of memory
     it owns. d_input is written into `into`, an (H,N,W,Cin) array or view
-    whose contents are dead; the model always passes one, its layer's
-    input viewed H-major. Without it, d_input goes into a new array or,
-    with a pool, "<key>.dinput". It is returned as an (N,H,W,Cin) view of
-    that memory.
+    whose contents are dead (the model passes its layer's input viewed
+    H-major), and returned as an (N,H,W,Cin) view of it. key only names
+    the call.
 
-    With a pool it writes only "rows", which rows may be, and its d_input
-    destination, so its scratch lies in memory whose contents are dead,
-    shared by liveness as in Chen et al., "Training Deep Nets with
-    Sublinear Memory Cost" (arXiv:1604.06174). Each input-gradient tile
-    takes its row gradients and GEMM result from "rows" after the kernel
-    gradient, the last reader of rows; a pass without need_params reads no
-    rows at all. So a tile counts its scratch twice, _tiles(H, 2*N*W'): a
-    layer of TILE_ROWS row patches or more, whose one tile would take
-    2*TILE_ROWS scratch rows or more, splits into tiles of at most (H+1)/2
-    input rows, whose scratch fits in its own row patches plus one image
-    row; a smaller layer stays one tile, whose scratch is twice its
-    patches. An upstream that is not H'-major is copied into a new
-    H'-major array first. The model never needs that copy: the dense layer
-    writes its d_input over the top conv's "<key>.out", and an upper conv
-    over the output of the one below.
+    It writes only the pool's "rows", which rows may be, and `into`, so its
+    scratch lies in memory whose contents are dead, shared by liveness as
+    in Chen et al., "Training Deep Nets with Sublinear Memory Cost"
+    (arXiv:1604.06174). Each input-gradient tile takes its row gradients
+    and GEMM result from "rows" after the kernel gradient, the last reader
+    of rows; a pass without need_params reads no rows at all. So a tile
+    counts its scratch twice, _tiles(H, 2*N*W'): a layer of TILE_ROWS row
+    patches or more, whose one tile would take 2*TILE_ROWS scratch rows or
+    more, splits into tiles of at most (H+1)/2 input rows, whose scratch
+    fits in its own row patches plus one image row; a smaller layer stays
+    one tile, whose scratch is twice its patches. An upstream that is not
+    H'-major is copied into a new H'-major array first. The model never
+    needs that copy: the dense layer writes its d_input over the top conv's
+    "<key>.out", and an upper conv over the output of the one below.
     """
     n, h, w, cin = input_shape
     k = kernels.shape[0]
@@ -220,10 +214,9 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
         d_kernels = d_kernels.reshape(kernels.shape)
         d_bias = up.sum(axis=0)
     if need_input:
-        d_x = _take(pool, key + ".dinput", (h, n, w, cin)) if into is None else into
         tiles = _tiles(h, 2 * stride)
         size = max(b - a for a, b in tiles) * stride
-        d_rows, part = np.split(_take(pool, "rows", (2 * size, k * cin)), 2)
+        d_rows, part = np.split(pool.get("rows", (2 * size, k * cin)), 2)
         for a, b in tiles:  # input rows [a, b) take output row r - ki from kernel row ki
             d = d_rows[:(b - a) * stride]
             top = max(min(b, oh) - a, 0) * stride
@@ -235,12 +228,12 @@ def conv_backward_batch(rows: Tensor, kernels: Tensor, upstream: Tensor,
                     p = part[:(hi - lo) * stride]
                     np.matmul(up[lo * stride:hi * stride], kern[ki].T, out=p)
                     d[(lo + ki - a) * stride:(hi + ki - a) * stride] += p
-            d5, dx = d.reshape(b - a, n, ow, k, cin), d_x[a:b]
+            d5, dx = d.reshape(b - a, n, ow, k, cin), into[a:b]
             dx[:, :, :ow] = d5[:, :, :, 0]
             dx[:, :, ow:] = 0.0
             for kj in range(1, k):
                 dx[:, :, kj:kj + ow] += d5[:, :, :, kj]
-        d_input = d_x.transpose(1, 0, 2, 3)
+        d_input = into.transpose(1, 0, 2, 3)
     return d_kernels, d_bias, d_input
 
 
@@ -250,7 +243,8 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
 
     input (H,W,Cin), kernels (K,K,Cin,Cout), bias (Cout). Forward returns the
     (H-K+1, W-K+1, Cout) output; with upstream of that shape, returns a
-    LayerGrad with d_input and d_params {"kernels", "bias"}.
+    LayerGrad with d_input and d_params {"kernels", "bias"}. It runs the
+    model's path on a pool of its own, over a float64 copy of input.
     """
     if input.ndim != 3:
         raise ValueError(f"conv2d input must be rank 3 (H,W,Cin), got rank {input.ndim}")
@@ -266,16 +260,17 @@ def conv2d(input: Tensor, kernels: Tensor, bias: Tensor,
         raise ValueError(f"conv2d kernel size {k} exceeds input extent {min(h, w)}")
     if bias.shape != (cout,):
         raise ValueError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    batch = input[None]
+    pool = BufferPool()
     if upstream is None:
-        out = conv_forward_batch(batch, kernels, bias)
-        return out[0]
+        return conv_forward_batch(input[None], kernels, bias, pool)[0]
     oh, ow = h - k + 1, w - k + 1
     if upstream.shape != (oh, ow, cout):
         raise ValueError(
             f"conv2d upstream must have shape {(oh, ow, cout)}, got {upstream.shape}")
-    rows = row_patches(batch, k)
-    d_k, d_b, d_in = conv_backward_batch(rows, kernels, upstream[None], batch.shape)
+    batch = np.empty((1, h, w, cin))
+    batch[0] = input
+    d_k, d_b, d_in = conv_backward_batch(row_patches(batch, k, pool), kernels, upstream[None],
+                                         batch.shape, True, pool, into=batch.transpose(1, 0, 2, 3))
     return LayerGrad(d_input=d_in[0], d_params={"kernels": d_k, "bias": d_b})
 
 

@@ -94,16 +94,17 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
     every epsilon. Other attacks run a clean pass, then generate_batch per
     epsilon, except JSMA, which ignores epsilon: it runs once per level, and
     each epsilon's batch carries that epsilon's spec. Every cell, epsilon 0
-    included, forwards its perturbed images once in evaluate. Every attack
-    spec and model config, and the test labels against the configured
-    classes, are checked before any model is trained.
+    included, forwards its perturbed images once in evaluate. Before any
+    model is trained, it checks every attack spec and model config, the test
+    labels against the model's classes, and that no level count or epsilon
+    repeats.
     """
-    if not levels or not epsilons:
-        raise BadConfigError("levels and epsilons must be non-empty")
     if cache is None:
         cache = ModelCache()
     specs = [AttackSpec(kind=attack_kind, epsilon=eps) for eps in epsilons]
     configs = [replace(base_config, levels=n) for n in levels]
+    if not levels or not epsilons or any(len(set(v)) < len(v) for v in (levels, epsilons)):
+        raise BadConfigError("levels and epsilons must be non-empty and repeat no value")
     check_labels(test_set.labels, base_config.architecture[-1][1])  # Model.num_classes
     images, labels = np.asarray(test_set.images, dtype=np.float64), test_set.labels
     rows = []

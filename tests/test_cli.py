@@ -180,13 +180,16 @@ def test_mistyped_architecture_exits_2_without_traceback(env, capsys):
     ["sweep", "--levels", "1000000000000", "--out", "s.csv"],
     ["sweep", "--levels", ",", "--out", "s.csv"],
     ["sweep", "--epsilons", ",", "--out", "s.csv"],
+    ["sweep", "--levels", "2,2", "--out", "s.csv"],
+    ["sweep", "--epsilons", "0.1,0.1", "--out", "s.csv"],
     ["train", "--levels", "1", "--out", "t.qsn"],
     ["train", "--z", "nan", "--out", "t.qsn"],
 ], ids=["train-levels", "attack-epsilon", "jsma-gamma", "jsma-untargeted", "sweep-levels",
         "sweep-epsilons", "train-epochs", "train-batch-size", "train-lr-zero", "train-lr-nan",
         "train-lr-inf", "train-count", "attack-count", "evaluate-count", "sweep-counts",
         "fgsm-targeted", "train-levels-huge", "sweep-levels-huge", "sweep-levels-empty",
-        "sweep-epsilons-empty", "undefended-levels", "undefended-z-nan"])
+        "sweep-epsilons-empty", "sweep-levels-repeated", "sweep-epsilons-repeated",
+        "undefended-levels", "undefended-z-nan"])
 def test_out_of_range_options_exit_2_and_log(env, capsys, argv):
     from qusecnets.model import ModelConfig, build_model
     from qusecnets.serial import save_weights

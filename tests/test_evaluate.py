@@ -47,6 +47,12 @@ def test_stats_shape_mismatch():
         perturbation_stats(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("shape", [(0, 28, 28, 1), (2, 0), ()])
+def test_stats_of_an_empty_batch_are_a_data_error(shape):
+    with pytest.raises(DataError, match="non-empty batch"):
+        perturbation_stats(np.zeros(shape), np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ def test_batched_conv_matches_per_image():
     xs = rng.random((4, 6, 6, 2))
     kernels = rng.standard_normal((3, 3, 2, 5))
     bias = rng.standard_normal(5)
-    batch_out = nn.conv_forward_batch(xs, kernels, bias)
+    batch_out = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
     for i in range(4):
         npt.assert_allclose(batch_out[i], nn.conv2d(xs[i], kernels, bias), atol=1e-12)
 
@@ -400,8 +400,10 @@ def test_batched_conv_backward_sums_per_image_param_grads():
     kernels = rng.standard_normal((2, 2, 2, 3))
     bias = rng.standard_normal(3)
     upstream = rng.standard_normal((3, 4, 4, 3))
-    rows = nn.row_patches(xs, 2)
-    d_k, d_b, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape)
+    pool = nn.BufferPool()
+    d_k, d_b, d_in = nn.conv_backward_batch(nn.row_patches(xs, 2, pool), kernels, upstream,
+                                            xs.shape, True, pool,
+                                            into=np.empty_like(xs).transpose(1, 0, 2, 3))
     per_image = [nn.conv2d(xs[i], kernels, bias, upstream=upstream[i]) for i in range(3)]
     npt.assert_allclose(d_k, sum(g.d_params["kernels"] for g in per_image), atol=1e-12)
     npt.assert_allclose(d_b, sum(g.d_params["bias"] for g in per_image), atol=1e-12)
@@ -424,8 +426,7 @@ def test_batched_conv_parity_matrix(n, cin, h, w, k):
     kernels = rng.standard_normal((k, k, cin, cout))
     bias = rng.standard_normal(cout)
     upstream = rng.standard_normal((n, h - k + 1, w - k + 1, cout))
-    out = nn.conv_forward_batch(xs, kernels, bias)
-    rows = nn.row_patches(xs, k)
+    out = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
     refs = [conv2d_naive(xs[i], kernels, bias, upstream=upstream[i]) for i in range(n)]
     for i in range(n):
         npt.assert_allclose(out[i], conv2d_naive(xs[i], kernels, bias), atol=1e-12)
@@ -434,9 +435,10 @@ def test_batched_conv_parity_matrix(n, cin, h, w, k):
     results = {}
     for need_input in (True, False):
         for need_params in (True, False):
+            pool = nn.BufferPool()  # rows, then the input gradient's scratch
             d_k, d_b, d_in = nn.conv_backward_batch(
-                rows, kernels, upstream, xs.shape, need_input=need_input,
-                need_params=need_params)
+                nn.row_patches(xs, k, pool), kernels, upstream, xs.shape, need_input=need_input,
+                pool=pool, need_params=need_params, into=np.empty_like(xs).transpose(1, 0, 2, 3))
             results[need_input, need_params] = d_in
             if need_params:
                 npt.assert_allclose(d_k, ref_k, atol=1e-12)
@@ -479,6 +481,10 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
             taken.append((key, super().get(key, shape)))
             return taken[-1][1]
 
+    def fresh(rows, kernels, upstream, shape):  # on a pool and into memory of its own
+        return nn.conv_backward_batch(rows, kernels, upstream, shape, True, nn.BufferPool(),
+                                      into=np.empty(shape).transpose(1, 0, 2, 3))
+
     for tile_rows, split in ((nn.TILE_ROWS, False), (4, True)):
         monkeypatch.setattr(nn, "TILE_ROWS", tile_rows)
         pool = Pool()
@@ -487,11 +493,12 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
             mid = (shape[0], shape[1] - 2, shape[2] - 2, 4)
             upstream = rng.standard_normal((shape[0], mid[1] - 1, mid[2] - 1, 3))
             assert (len(nn._tiles(shape[1], shape[0] * (shape[2] - 2))) > 1) == split
-            fresh_a = nn.conv_forward_batch(xs, ka, ba)
-            fresh_b = nn.conv_forward_batch(fresh_a, kb, bb)
-            fresh_rows_a, fresh_rows_b = nn.row_patches(xs, 3), nn.row_patches(fresh_a, 2)
-            fresh_grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid)
-            fresh_grad_a = nn.conv_backward_batch(fresh_rows_a, ka, fresh_grad_b[2], shape)
+            fresh_a = nn.conv_forward_batch(xs, ka, ba, nn.BufferPool())
+            fresh_b = nn.conv_forward_batch(fresh_a, kb, bb, nn.BufferPool())
+            fresh_rows_a = nn.row_patches(xs, 3, nn.BufferPool())
+            fresh_rows_b = nn.row_patches(fresh_a, 2, nn.BufferPool())
+            fresh_grad_b = fresh(fresh_rows_b, kb, upstream, mid)
+            fresh_grad_a = fresh(fresh_rows_a, ka, fresh_grad_b[2], shape)
             # forward A, forward B, backward B, backward A, as Model runs them: each
             # training backward refills the shared rows from its input, and B's
             # input gradient goes over A's output, dead by then
@@ -503,15 +510,17 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
             out_b[...] = upstream
             taken.clear()
             grad_b = nn.conv_backward_batch(nn.row_patches(out_a, 2, pool), kb, out_b, mid,
-                                            pool=pool, key="b", into=out_a.transpose(1, 0, 2, 3))
+                                            True, pool, "b", into=out_a.transpose(1, 0, 2, 3))
             assert np.shares_memory(grad_b[2], out_a)
             assert {key for key, _ in taken} == {"rows"}
             npt.assert_array_equal(out_b, upstream)
             taken.clear()
+            # A's input is dead once its rows are built: its d_input goes over it
             grad_a = nn.conv_backward_batch(nn.row_patches(xs, 3, pool), ka, grad_b[2], shape,
-                                            pool=pool, key="a")
+                                            True, pool, "a", into=xs.transpose(1, 0, 2, 3))
             # A's upstream is B's d_input, H'-major already: no copy
-            assert {key for key, _ in taken} == {"rows", "a.dinput"}
+            assert {key for key, _ in taken} == {"rows"}
+            assert np.shares_memory(grad_a[2], xs)
             if split:  # the tiles' scratch went into the row patches A's kernel gradient read
                 patches, scratch = (v for key, v in taken if key == "rows")
                 assert np.shares_memory(patches, scratch)
@@ -520,16 +529,19 @@ def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
                 assert a.tobytes() == b.tobytes()
             # an upstream already laid out H'-major (a lower layer's d_input) is used in place
             hmajor = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-            for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
+            for a, b in zip(fresh(fresh_rows_b, kb, hmajor, mid), fresh_grad_b):
                 npt.assert_array_equal(a, b)
             # a C-ordered upstream is laid out H'-major in new memory: B's output
             # is left as it was
             out_b[...] = outs[1]
             taken.clear()
-            for a, b in zip(nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid,
-                                                   pool=pool, key="b"), fresh_grad_b):
+            into = np.empty(mid).transpose(1, 0, 2, 3)
+            grad_b = nn.conv_backward_batch(fresh_rows_b, kb, upstream, mid, True, pool, "b",
+                                            into=into)
+            for a, b in zip(grad_b, fresh_grad_b):
                 npt.assert_array_equal(a, b)
-            assert {key for key, _ in taken} == {"rows", "b.dinput"}
+            assert {key for key, _ in taken} == {"rows"}
+            assert np.shares_memory(grad_b[2], into)
             assert out_b.tobytes() == outs[1].tobytes()
 
 
@@ -570,12 +582,15 @@ def test_a_conv_split_into_tiles_gives_the_bytes_of_one_tile(monkeypatch, tile_r
         bias = rng.standard_normal(cout)
         upstream = rng.standard_normal((n, oh, ow, cout))
 
-        def run():
-            out = nn.conv_forward_batch(xs, kernels, bias)
-            rows = nn.row_patches(xs, k)
-            _, _, d_in = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
-                                                need_params=False)
-            return [out, d_in, *nn.conv_backward_batch(rows, kernels, upstream, xs.shape)]
+        def run():  # as the model runs them: each backward's rows and scratch share a pool
+            out = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
+            pool = nn.BufferPool()
+            _, _, d_in = nn.conv_backward_batch(
+                nn.row_patches(xs, k, pool, fill=False), kernels, upstream, xs.shape, True, pool,
+                need_params=False, into=np.empty_like(xs).transpose(1, 0, 2, 3))
+            return [out, d_in, *nn.conv_backward_batch(
+                nn.row_patches(xs, k, pool), kernels, upstream, xs.shape, True, pool,
+                into=np.empty_like(xs).transpose(1, 0, 2, 3))]
 
         def counts():  # forward and input-gradient tiles
             return len(nn._tiles(oh, n * ow)), len(nn._tiles(h, 2 * n * ow))
@@ -621,7 +636,8 @@ def test_kernel_gradient_keeps_its_bytes_and_owns_its_memory(stack, n):
         upstream = rng.standard_normal((n, oh, ow, cout))
         rows = nn.row_patches(xs, k, pool)
         d_k, _, _ = nn.conv_backward_batch(rows, kernels, upstream, xs.shape,
-                                           need_input=False, pool=pool)
+                                           need_input=False, pool=pool,
+                                           into=np.empty_like(xs).transpose(1, 0, 2, 3))
         stride, m = n * ow, oh * n * ow
         up = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(m, cout)
         ref = np.stack([rows[ki * stride:ki * stride + m].T @ up for ki in range(k)])
@@ -646,13 +662,13 @@ def test_a_wide_forward_gives_the_bytes_of_the_narrow_one_and_of_one_tile(
     kernels = rng.standard_normal((k, k, cin, cout)) * 0.1
     bias = rng.standard_normal(cout)
     assert k * cin >= nn.WIDE_DEPTH and len(nn._tiles(h - k + 1, n * (w - k + 1))) > 1
-    wide = nn.conv_forward_batch(xs, kernels, bias)
+    wide = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
     # one tile without raising TILE_ROWS, which would make the layer narrow
     monkeypatch.setattr(nn, "_tiles", lambda rows, stride: [(0, rows)])
-    one_tile = nn.conv_forward_batch(xs, kernels, bias)
+    one_tile = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
     monkeypatch.undo()
     monkeypatch.setattr(nn, "WIDE_DEPTH", 10**9)
-    narrow = nn.conv_forward_batch(xs, kernels, bias)
+    narrow = nn.conv_forward_batch(xs, kernels, bias, nn.BufferPool())
     for other in (one_tile, narrow):
         if exact:
             assert wide.tobytes() == other.tobytes()
@@ -674,7 +690,7 @@ def test_row_patches_equal_a_copy_per_kernel_column(layout):
     ref = np.empty((h, n, ow, k, cin))
     for kj in range(k):
         ref[:, :, :, kj, :] = xs.transpose(1, 0, 2, 3)[:, :, kj:kj + ow, :]
-    rows = nn.row_patches(xs, k)
+    rows = nn.row_patches(xs, k, nn.BufferPool())
     assert rows.tobytes() == ref.reshape(h * n * ow, k * cin).tobytes()
 
 

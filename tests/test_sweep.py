@@ -12,7 +12,7 @@ import pytest
 from helpers import TINY_CONFIG, PassCounter, blob_dataset
 from qusecnets.attacks import AttackSpec, generate_batch
 from qusecnets.data import Dataset
-from qusecnets.errors import DataError
+from qusecnets.errors import BadConfigError, DataError
 from qusecnets.evaluate import evaluate
 from qusecnets.sweep import ModelCache, _train_key, sweep, sweep_to_csv
 
@@ -114,6 +114,16 @@ def test_sweep_rejects_empty_lists(sets):
         sweep(BASE, [2], [], "fgsm", train_set, test_set)
 
 
+@pytest.mark.parametrize("levels, epsilons", [([2, 2], [0.1, 0.1]), ([2, 3, 2], [0.1]),
+                                              ([2], [0.1, 0.2, 0.1])])
+def test_sweep_rejects_a_repeated_level_or_epsilon_before_training(sets, levels, epsilons):
+    train_set, test_set = sets
+    cache = ModelCache()
+    with pytest.raises(BadConfigError, match="repeat no value"):
+        sweep(BASE, levels, epsilons, "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
+    assert cache.events == []
+
+
 def test_csv_output(sets, tmp_path):
     train_set, test_set = sets
     result = sweep(BASE, [2], [0.0, 0.2], "fgsm", train_set, test_set,
@@ -172,7 +182,7 @@ def test_fgsm_sweep_rows_equal_per_epsilon_attacks(sets, tmp_path):
     train_set, _ = sets
     test_set = blob_dataset(n_per_class=13, seed=2)
     cache = ModelCache(tmp_path)
-    epsilons = [0.2, 0.0, 0.05, 0.2]
+    epsilons = [0.2, 0.0, 0.05, 0.3]  # unsorted; each later one reads the signs after the others
     result = sweep(BASE, [2, 4], epsilons, "fgsm", train_set, test_set,
                    cache=cache, **TRAIN_KW)
     assert [(r.levels, r.epsilon) for r in result.rows] == [

@@ -12,8 +12,10 @@ and how many differ:
   28x28x1 and 32x32x3 inputs, a quarter-width stack and a tiny one) at
   each batch size, with random input, kernels and upstream. Ten arrays a
   layer: the forward, the full backward's three gradients and the
-  input-only backward's input gradient, each without and with a
-  BufferPool.
+  input-only backward's input gradient, each computed twice: with the
+  forward and the backwards on separate new BufferPools, and with all of
+  them on one pool. Each backward writes its input gradient into a new
+  array.
 - model passes: an undefended, a CQ and a TQ n=4 z=5 model of each stack
   at each batch size, one training pass (probabilities, every gradient,
   the TQ quantizer delta) and one input-gradient pass (probabilities,
@@ -71,19 +73,19 @@ def _conv_cases(np, nn, batches) -> dict:
                 up = rng.standard_normal((n, oh, ow, cout))
                 pool = nn.BufferPool()
                 arrays = {
-                    "forward": nn.conv_forward_batch(x, kernels, bias),
-                    "forward.pooled": nn.conv_forward_batch(x, kernels, bias, pool=pool,
-                                                            key="c").copy(),
+                    "forward": nn.conv_forward_batch(x, kernels, bias, nn.BufferPool()),
+                    "forward.pooled": nn.conv_forward_batch(x, kernels, bias, pool, "c"),
                 }
-                for tag, p in (("", None), (".pooled", pool)):
+                for tag, p in (("", nn.BufferPool()), (".pooled", pool)):
                     d_k, d_b, d_in = nn.conv_backward_batch(
-                        nn.row_patches(x, k, p), kernels, up, x.shape, pool=p, key="c")
-                    arrays.update({"d_kernels" + tag: d_k, "d_bias" + tag: d_b.copy(),
-                                   "d_input" + tag: d_in.copy()})
+                        nn.row_patches(x, k, p), kernels, up, x.shape, True, p, "c",
+                        into=np.empty((h, n, w, cin)))
+                    arrays.update({"d_kernels" + tag: d_k, "d_bias" + tag: d_b,
+                                   "d_input" + tag: d_in})
                     _, _, d_in = nn.conv_backward_batch(
-                        nn.row_patches(x, k, p, fill=False), kernels, up, x.shape, pool=p,
-                        key="c", need_params=False)
-                    arrays["d_input.only" + tag] = d_in.copy()
+                        nn.row_patches(x, k, p, fill=False), kernels, up, x.shape, True, p,
+                        "c", need_params=False, into=np.empty((h, n, w, cin)))
+                    arrays["d_input.only" + tag] = d_in
                 for tag, a in arrays.items():
                     out[f"{name}/n{n}/conv{li}/{tag}"] = _digest(a)
                 h, w, cin = oh, ow, cout

@@ -255,7 +255,12 @@ class Model:
         return self.config.architecture[-1][1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor under its .qsn name, params then thresholds; build_model's inverse."""
+        """Every tensor under its .qsn name, params then thresholds; build_model's inverse.
+
+        The arrays are the model's own, live: the next training step writes
+        into them. build_model copies what it is given, so a model built from
+        them trains on its own memory.
+        """
         tensors = dict(self.params)
         if self.quantizer is not None:
             tensors[THRESHOLDS_KEY] = self.quantizer.thresholds
@@ -367,10 +372,12 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
     """The model a config describes, with seed-determined fresh tensors or the given ones.
 
     Fresh: Glorot-uniform weights, zero biases, k/n thresholds. Given (name ->
-    array, as a .qsn file holds them): taken as float64, the model's dtype. Each
-    is checked against the shape the config implies first: ShapeMismatchError if
-    it is missing or misshapen, BadConfigError if non-finite or a threshold is outside [0, 1].
-    Then a tensor the config does not take is a ShapeMismatchError too.
+    array, as a .qsn file holds them): copied as float64, the model's dtype, so
+    training, which steps the model's arrays in place, never writes into the
+    caller's. Each is checked against the shape the config implies first:
+    ShapeMismatchError if it is missing or misshapen, BadConfigError if
+    non-finite or a threshold is outside [0, 1]. Then a tensor the config does
+    not take is a ShapeMismatchError too.
     """
     model = Model(config, None, {})
     shapes = {name: shape for layer in model.layers for name, shape in layer.shapes.items()}
@@ -388,7 +395,8 @@ def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
         if THRESHOLDS_KEY in shapes:
             tensors[THRESHOLDS_KEY] = np.broadcast_to(linear_thresholds(config.levels),
                                                       shapes[THRESHOLDS_KEY]).copy()
-    tensors = {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()}
+    else:
+        tensors = {name: np.array(t, dtype=np.float64) for name, t in tensors.items()}
     for name, shape in shapes.items():
         if name not in tensors:
             raise ShapeMismatchError(f"missing tensor {name!r}")
@@ -427,7 +435,8 @@ def _step(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float):
 
     A frame of its own, so nothing of the step outlives it. It drops the
     cache but for the raw input once the backward has run, and each
-    gradient once it is applied.
+    gradient once it is applied. The updates write into the model's own
+    parameter and threshold arrays, so a step allocates none.
     """
     probs, cache = model.forward_batch(xb, keep_cache=True)
     loss, d_logits = model.loss_and_grad_batch(probs, yb)
@@ -437,7 +446,7 @@ def _step(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float):
     grads, quantizer_delta = model.backward_batch(cache, d_logits)
     del cache
     for pname in list(grads):
-        model.params[pname] = nn.sgd_update(model.params[pname], grads.pop(pname), lr)
+        nn.sgd_update(model.params[pname], grads.pop(pname), lr)
     if quantizer_delta is not None:
         update_thresholds(model.quantizer, quantizer_delta, raw, lr)
     return loss, int((probs.argmax(axis=1) == yb).sum())

@@ -5,17 +5,18 @@ the model hands them float64; only the convs fix theirs, as they compute
 into float64 scratch. There is no autodiff graph: each op either runs
 forward (``upstream=None``) or returns a LayerGrad holding the gradient of
 the cost w.r.t. its input and parameters, given the upstream gradient
-w.r.t. its output. Ops other than the batched conv are pure functions, and
-each formula exists once. The model calls
+w.r.t. its output. Ops other than the batched conv and sgd_update are
+pure functions, and each formula exists once. The model calls
 conv_forward_batch/conv_backward_batch, dense (forward only),
 softmax_batch, softmax_backward_batch and mse_cost, and sgd_update steps
 both its weights and, through quantize.update_thresholds, the TQ
-thresholds. conv2d and softmax are the single-image and single-vector
-forms. Three ops only serve as references: the conv layer fuses its ReLU
-(relu's mask, applied in place), the dense layer's backward runs block by
-block on its unflattened input (dense's backward gives the same bytes),
-and the cross-entropy loss goes to d logits in closed form (cross_entropy
-is its d/dP).
+thresholds in place, in the model's own arrays. conv2d and softmax are
+the single-image and single-vector forms. Three ops only serve as
+references: the conv layer fuses its ReLU (relu's mask, applied in
+place), the dense layer's backward runs block by block on its
+unflattened input (dense's backward gives the same bytes), and the
+cross-entropy loss goes to d logits in closed form (cross_entropy is its
+d/dP).
 
 The batched conv's caller owns all its memory: row_patches and both
 passes take the caller's BufferPool, and the backward writes d_input into
@@ -358,11 +359,19 @@ def cross_entropy(P: Tensor, label: int):
 
 
 def sgd_update(param: Tensor, grad: Tensor, lr: float) -> Tensor:
-    """One plain gradient-descent step: param - lr * grad (pure)."""
+    """One plain gradient-descent step in place; returns param itself.
+
+    lr * grad is computed into grad's memory and subtracted from param in
+    place, so a step allocates nothing; param ends up holding the bytes of
+    param - lr * grad. grad is consumed; a grad that may share memory with
+    param raises ValueError, as the step would write into it.
+    """
     if param.shape != grad.shape:
         raise ValueError(f"sgd_update shape mismatch: {param.shape} vs {grad.shape}")
+    if np.may_share_memory(param, grad):
+        raise ValueError("sgd_update: grad shares memory with param")
     lr = checked("learning rate", lr, Real, lambda v: 0 < v < math.inf, "finite and positive")
-    return param - lr * grad
+    return np.subtract(param, np.multiply(grad, lr, out=grad), out=param)
 
 
 def finite_difference_gradient(f, x: Tensor, h: float = 1e-5) -> Tensor:

@@ -31,7 +31,11 @@ def linear_thresholds(n: int) -> np.ndarray:
 
 @dataclass
 class Quantizer:
-    """Quantization front layer: n levels realized by n-1 sigmoids of steepness z."""
+    """Quantization front layer: n levels realized by n-1 sigmoids of steepness z.
+
+    The thresholds are a float64 copy of the array given, so a TQ step,
+    which writes into them, leaves the caller's array untouched.
+    """
 
     levels: int
     steepness: float
@@ -46,7 +50,7 @@ class Quantizer:
             raise BadConfigError(f"mode must be '{CONSTANT}' or '{TRAINABLE}', got {self.mode!r}")
         if self.thresholds is None:
             self.thresholds = linear_thresholds(self.levels)
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        self.thresholds = np.array(self.thresholds, dtype=np.float64)
         if self.thresholds.shape[-1:] != (self.levels - 1,):
             raise BadConfigError(f"{THRESHOLDS_KEY} last axis must be n-1={self.levels - 1}, "
                                  f"got shape {self.thresholds.shape}")
@@ -123,11 +127,12 @@ def update_thresholds(q: Quantizer, d_cost_dy, x, lr: float) -> Quantizer:
     """One backprop step on the thresholds, clamped to [0,1]. Mutates q.
 
     The step is nn.sgd_update, the one the weights take, so a non-positive
-    lr raises its ValueError. Rejected on constant-mode quantizers; those
-    must stay bit-identical through training.
+    lr raises its ValueError. Both the step and the clamp write into
+    q.thresholds itself: the array stays the same object. Rejected on
+    constant-mode quantizers; those must stay bit-identical through training.
     """
     if not q.trainable:
         raise ValueError("update_thresholds called on a constant-mode quantizer")
     grad = threshold_gradients(q, d_cost_dy, x)
-    q.thresholds = np.clip(nn.sgd_update(q.thresholds, grad, lr), 0.0, 1.0)
+    np.clip(nn.sgd_update(q.thresholds, grad, lr), 0.0, 1.0, out=q.thresholds)
     return q

@@ -84,7 +84,11 @@ class _Reader:
 
 
 def read_container(path, expected_magic: bytes):
-    """Returns (config_text, tensors dict) or raises a DataError."""
+    """Returns (config_text, tensors dict) or raises a DataError.
+
+    The tensors are read-only views of the file's bytes: each loader copies
+    what it keeps (build_model copies a model's tensors).
+    """
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data, path)
@@ -109,7 +113,7 @@ def read_container(path, expected_magic: bytes):
         nbytes = 8 * math.prod(shape)  # Python ints: an int64 product can wrap to 0
         payload = r.take(nbytes, f"payload of tensor {name!r}")
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         except ValueError as e:  # a zero extent next to ones too large for numpy to index
             raise ShapeMismatchError(f"{path}: tensor {name!r} has unusable extents {shape}") from e
     if r.pos != len(data):
@@ -181,8 +185,8 @@ def load_adversarial_batch(path) -> AdversarialBatch:
     except (ValueError, TypeError) as e:
         raise BadConfigError(f"{path}: invalid attack spec: {e}") from e
     return AdversarialBatch(
-        originals=tensors["originals"],
-        perturbed=tensors["perturbed"],
+        originals=np.array(tensors["originals"]),
+        perturbed=np.array(tensors["perturbed"]),
         labels=labels.astype(np.int64),
         spec=spec,
     )

@@ -103,6 +103,8 @@ def sweep(base_config: ModelConfig, levels: list, epsilons: list,
         cache = ModelCache()
     specs = [AttackSpec(kind=attack_kind, epsilon=eps) for eps in epsilons]
     configs = [replace(base_config, levels=n) for n in levels]
+    # the checked values, as plain numbers: any iterable runs like the equal list
+    levels, epsilons = [c.levels for c in configs], [s.epsilon for s in specs]
     if not levels or not epsilons or any(len(set(v)) < len(v) for v in (levels, epsilons)):
         raise BadConfigError("levels and epsilons must be non-empty and repeat no value")
     check_labels(test_set.labels, base_config.architecture[-1][1])  # Model.num_classes

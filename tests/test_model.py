@@ -474,6 +474,35 @@ def test_a_step_drops_its_cache_and_each_gradient_as_it_applies_them(monkeypatch
     assert alive == [(0, 6 - i) for i in range(6)] + [(0, 0)]
 
 
+def test_a_step_writes_into_the_models_own_arrays():
+    """No update rebinds a parameter or the thresholds: each keeps its object."""
+    model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0))
+    params, thresholds = dict(model.params), model.quantizer.thresholds
+    before = {name: t.copy() for name, t in model.tensors().items()}
+    ds = blob_dataset(n_per_class=1, seed=2)
+    _step(model, ds.images, ds.labels, 0.1)
+    assert all(model.params[name] is p for name, p in params.items())
+    assert model.quantizer.thresholds is thresholds
+    assert all(not np.array_equal(t, before[name]) for name, t in model.tensors().items())
+
+
+def test_models_built_from_one_tensors_dict_train_independently():
+    config = replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0)
+    tensors = build_model(config).tensors()
+    saved = {name: t.copy() for name, t in tensors.items()}
+    a, b = build_model(config, tensors), build_model(config, tensors)
+    ds = blob_dataset(n_per_class=4, seed=2)
+    train(a, ds, epochs=1, batch_size=16, lr=0.5, seed=0)
+    for t in (tensors, b.tensors()):
+        assert {name: v.tobytes() for name, v in t.items()} == {
+            name: v.tobytes() for name, v in saved.items()}
+    train(b, ds, epochs=1, batch_size=16, lr=0.5, seed=0)
+    assert {name: v.tobytes() for name, v in b.tensors().items()} == {
+        name: v.tobytes() for name, v in a.tensors().items()}
+    assert not any(np.shares_memory(x, y) for x in a.tensors().values()
+                   for y in [*b.tensors().values(), *tensors.values()])
+
+
 # The dense input is the top conv's output, H' x N x F/H' in memory; F its flattened size.
 TOP_CONV_STACKS = {
     "default": ((28, 28, 1), DEFAULT_ARCHITECTURE, 12 * 12 * 128),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -356,9 +358,12 @@ def test_cross_entropy_label_out_of_range():
 # sgd_update
 # ---------------------------------------------------------------------------
 
+# sgd_update steps param in place and consumes grad, so each call below gets
+# copies and its result is compared with values saved before the call.
+
 def test_sgd_zero_gradient():
     p = np.array([1.0, 2.0])
-    npt.assert_array_equal(nn.sgd_update(p, np.zeros(2), 0.1), p)
+    npt.assert_array_equal(nn.sgd_update(p.copy(), np.zeros(2), 0.1), p)
 
 
 def test_sgd_hand_value():
@@ -368,9 +373,37 @@ def test_sgd_hand_value():
 def test_sgd_two_steps_equal_one_double_step():
     p = np.array([0.7, -0.3])
     g = np.array([0.2, 0.4])
-    twice = nn.sgd_update(nn.sgd_update(p, g, 0.05), g, 0.05)
-    once = nn.sgd_update(p, 2.0 * g, 0.05)
+    twice = nn.sgd_update(nn.sgd_update(p.copy(), g.copy(), 0.05), g.copy(), 0.05)
+    once = nn.sgd_update(p.copy(), 2.0 * g, 0.05)
     npt.assert_allclose(twice, once, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("grad_layout", ["C", "transposed"])
+def test_sgd_steps_param_itself_to_the_bytes_of_the_pure_step(dtype, grad_layout):
+    """The result is param, holding param - lr * grad; grad is left holding
+    lr * grad. A transposed grad is the layout of a conv's kernel gradient."""
+    rng = np.random.default_rng(0)
+    p0 = rng.standard_normal((5, 7)).astype(dtype)
+    g0 = rng.standard_normal((5, 7)).astype(dtype)
+    p = p0.copy()
+    g = g0.copy() if grad_layout == "C" else np.ascontiguousarray(g0.T).T
+    out = nn.sgd_update(p, g, 0.1)
+    assert out is p and out.dtype == dtype and out.flags.c_contiguous
+    assert out.tobytes() == (p0 - 0.1 * g0).tobytes()
+    assert np.ascontiguousarray(g).tobytes() == (0.1 * g0).tobytes()
+
+
+def test_sgd_step_allocates_nothing():
+    p, g = np.ones(1 << 17), np.full(1 << 17, 0.5)  # 1 MiB each
+    tracemalloc.start()
+    try:
+        nn.sgd_update(p, g, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert np.all(p == 0.95)
 
 
 def test_sgd_rejects_bad_args():
@@ -378,6 +411,12 @@ def test_sgd_rejects_bad_args():
         nn.sgd_update(np.ones(2), np.ones(3), 0.1)
     with pytest.raises(ValueError):
         nn.sgd_update(np.ones(2), np.ones(2), -0.1)
+    p = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="shares memory"):
+        nn.sgd_update(p, p, 0.1)
+    with pytest.raises(ValueError, match="shares memory"):
+        nn.sgd_update(p, p[::-1], 0.1)
+    npt.assert_array_equal(p, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +752,7 @@ def test_ops_compute_in_the_dtype_they_are_given():
         "softmax": p,
         "softmax d_input": nn.softmax(p, upstream=up).d_input,
         "mse_cost d_P": nn.mse_cost(p, up)[1],
-        "sgd_update": nn.sgd_update(W, W, 0.1),
+        "sgd_update": nn.sgd_update(W.copy(), W.copy(), 0.1),
     }
     assert {name: out.dtype for name, out in outs.items()} == dict.fromkeys(outs, np.float32)
     # the reference the gradient checks compare against stays float64

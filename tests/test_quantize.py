@@ -268,6 +268,14 @@ def test_update_clamps_to_zero():
     assert q.thresholds[0] == 0.0
 
 
+def test_update_leaves_the_callers_thresholds_array_untouched():
+    given = np.array([0.3, 0.6])
+    q = Quantizer(3, 5.0, given, mode="trainable")
+    update_thresholds(q, np.array([1.0, -2.0]), np.array([0.35, 0.55]), 0.5)
+    npt.assert_array_equal(given, [0.3, 0.6])
+    assert not np.array_equal(q.thresholds, given)
+
+
 def test_update_rejects_constant_mode():
     q = Quantizer(2, 5.0)
     with pytest.raises(ValueError, match="constant"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TINY_CONFIG
+from helpers import TINY_CONFIG, blob_dataset
 from qusecnets.attacks import AttackSpec
 from qusecnets.errors import (
     BadConfigError,
@@ -18,7 +18,7 @@ from qusecnets.errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
-from qusecnets.model import build_model
+from qusecnets.model import build_model, train
 from qusecnets.serial import (
     AdversarialBatch,
     load_adversarial_batch,
@@ -46,6 +46,22 @@ def test_weight_round_trip_bit_exact(tmp_path, tq_model):
     npt.assert_array_equal(loaded.quantizer.thresholds,
                            tq_model.quantizer.thresholds)
     assert loaded.quantizer.mode == tq_model.quantizer.mode
+
+
+def test_trained_weight_round_trip_bit_exact(tmp_path, tq_model):
+    """Training steps the model's arrays in place; a file saved after it holds
+    them byte for byte, and the loaded model trains on its own memory."""
+    ds = blob_dataset(n_per_class=4, seed=2)
+    train(tq_model, ds, epochs=1, batch_size=16, lr=0.5, seed=0)
+    path = tmp_path / "m.qsn"
+    save_weights(tq_model, path)
+    loaded = load_weights(path)
+    assert {name: t.tobytes() for name, t in loaded.tensors().items()} == {
+        name: t.tobytes() for name, t in tq_model.tensors().items()}
+    for model in (tq_model, loaded):
+        train(model, ds, epochs=1, batch_size=16, lr=0.5, seed=1)
+    assert {name: t.tobytes() for name, t in loaded.tensors().items()} == {
+        name: t.tobytes() for name, t in tq_model.tensors().items()}
 
 
 def test_save_load_save_byte_identical(tmp_path, tq_model):
@@ -268,6 +284,7 @@ def test_adversarial_batch_round_trip(tmp_path):
     loaded = load_adversarial_batch(path)
     npt.assert_array_equal(loaded.originals, batch.originals)
     npt.assert_array_equal(loaded.perturbed, batch.perturbed)
+    assert loaded.originals.flags.writeable and loaded.perturbed.flags.writeable
     npt.assert_array_equal(loaded.labels, batch.labels)
     assert loaded.spec == batch.spec
 

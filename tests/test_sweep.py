@@ -115,13 +115,24 @@ def test_sweep_rejects_empty_lists(sets):
 
 
 @pytest.mark.parametrize("levels, epsilons", [([2, 2], [0.1, 0.1]), ([2, 3, 2], [0.1]),
-                                              ([2], [0.1, 0.2, 0.1])])
+                                              ([2], [0.1, 0.2, 0.1]),
+                                              (np.array([2, 2]), np.array([0.1]))])
 def test_sweep_rejects_a_repeated_level_or_epsilon_before_training(sets, levels, epsilons):
     train_set, test_set = sets
     cache = ModelCache()
     with pytest.raises(BadConfigError, match="repeat no value"):
         sweep(BASE, levels, epsilons, "fgsm", train_set, test_set, cache=cache, **TRAIN_KW)
     assert cache.events == []
+
+
+def test_sweep_runs_arrays_like_the_equal_lists(sets):
+    train_set, test_set = sets
+    from_arrays = sweep(BASE, np.array([2, 3]), np.array([0.0, 0.3]), "fgsm",
+                        train_set, test_set, **TRAIN_KW)
+    from_lists = sweep(BASE, [2, 3], [0.0, 0.3], "fgsm", train_set, test_set, **TRAIN_KW)
+    assert [(type(r.levels), type(r.epsilon)) for r in from_arrays.rows] == [(int, float)] * 4
+    assert from_arrays.rows == from_lists.rows
+    assert from_arrays.recommended_levels == from_lists.recommended_levels
 
 
 def test_csv_output(sets, tmp_path):

@@ -205,8 +205,8 @@ def jsma(model: Model, x: np.ndarray, target_class: int, spec: AttackSpec,
             break
         if int(probs[0].argmax()) == target_class:
             break
-        _, alpha = model.backward_batch(cache, nn.softmax_backward_batch(probs, d_probs),
-                                        need_input_grad=True)
+        alpha = model.backward_batch(cache, nn.softmax_backward_batch(probs, d_probs),
+                                     need_input_grad=True)
         pick = _top_pair(alpha.reshape(-1), flat < 1.0)  # saturated pixels leave
         if pick is None:
             break
@@ -299,7 +299,7 @@ def _cw_optimize(model: Model, x0: np.ndarray, pivots: np.ndarray,
         sgn = 1.0 if spec.targeted else -1.0
         d_logits[rows[active], best_other[active]] = sgn * spec.c
         d_logits[rows[active], pivots[active]] = -sgn * spec.c
-        _, d_model = model.backward_batch(cache, d_logits, need_input_grad=True)
+        d_model = model.backward_batch(cache, d_logits, need_input_grad=True)
         d_x = 2.0 * delta + d_model
         d_w = d_x * 0.5 * (1.0 - np.tanh(w) ** 2)
         w = np.clip(w - spec.step_size * d_w, w_lo, w_hi)

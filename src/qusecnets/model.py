@@ -100,26 +100,33 @@ class _Conv:
             caches.append({"input": a, "mask": pre > 0.0})
         return np.maximum(pre, 0.0, out=pre)
 
-    def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
+    def backward(self, d, cache: dict, params: dict, pool, step, need_input: bool):
         # d is always our own output here: each layer writes over its input
         d = np.multiply(d, cache["mask"], out=d)
         x, kernels = cache["input"], params[self.name + ".kernels"]
         # the layers above took the pool's rows since the forward: a training
         # pass rebuilds them from the input; an input-gradient pass reads none
-        rows = nn.row_patches(x, kernels.shape[0], pool, fill=grads is not None)
+        rows = nn.row_patches(x, kernels.shape[0], pool, fill=step is not None)
         # the input is dead once read: the lower conv's H-major output, or the
         # bottom layer's C-ordered array, viewed H-major
         d_k, d_b, d_in = nn.conv_backward_batch(
             rows, kernels, d, x.shape, need_input=need_input, pool=pool, key=self.name,
-            need_params=grads is not None, into=x.transpose(1, 0, 2, 3))
-        if grads is not None:
-            grads[self.name + ".kernels"] = d_k
-            grads[self.name + ".bias"] = d_b
+            need_params=step is not None, into=x.transpose(1, 0, 2, 3))
+        if step is not None:  # d_in is made: nothing reads the kernels again
+            step(self.name + ".kernels", d_k)
+            step(self.name + ".bias", d_b)
         return d_in
 
 
 class _Dense:
     """Fully connected layer over the flattened input; owns <name>.W and <name>.b.
+
+    The forward flattens a C-ordered input as a view. A conv's H'-major
+    output of more than one image and row cannot be one, so it is copied
+    into the pool's "rows" buffer, whose row patches are spent once the top
+    conv has run: a training backward refills them, and an input-gradient
+    backward takes the buffer as scratch. The logits GEMM reads the bytes
+    of a flattened copy either way.
 
     The input is cached as the view it is, unflattened. The backward works
     on it in blocks of its first extent, H' (1 for a flat input), as an
@@ -127,7 +134,8 @@ class _Dense:
     output. Each block's d_W and d_input is a GEMM whose every element is
     the same dot as the flattened layer's. d_input goes over the input,
     dead once d_W has read it, so the conv below gets it H'-major, as
-    every conv hands its input gradient down.
+    every conv hands its input gradient down. A training backward hands
+    d_W and d_b to its step only after d_input, the other reader of W.
     """
 
     FIELDS = ("width",)
@@ -143,20 +151,25 @@ class _Dense:
     def forward(self, a, params: dict, pool, caches: list | None):
         if caches is not None:
             caches.append({"input": a})
-        # reshape copies a conv's H'-major output: the copy dies with this call
-        return nn.dense(a.reshape(a.shape[0], -1), params[self.name + ".W"],
-                        params[self.name + ".b"])
+        if a.flags.c_contiguous:
+            flat = a.reshape(len(a), -1)
+        else:
+            flat = pool.get("rows", (len(a), self.fans[0]))
+            np.copyto(flat.reshape(a.shape), a)
+        return nn.dense(flat, params[self.name + ".W"], params[self.name + ".b"])
 
-    def backward(self, d, cache: dict, params: dict, pool, grads: dict | None, need_input: bool):
+    def backward(self, d, cache: dict, params: dict, pool, step, need_input: bool):
         a, W = cache["input"], params[self.name + ".W"]
-        if grads is not None:
+        if step is not None:
             d_W = np.empty(W.shape)
             np.matmul(d.T, self._blocked(a), out=self._blocked(d_W))
-            grads[self.name + ".W"], grads[self.name + ".b"] = d_W, d.sum(axis=0)
-        if not need_input:
-            return None
-        np.matmul(d, self._blocked(W), out=self._blocked(a))
-        return a
+            d_b = d.sum(axis=0)
+        if need_input:
+            np.matmul(d, self._blocked(W), out=self._blocked(a))
+        if step is not None:
+            step(self.name + ".W", d_W)
+            step(self.name + ".b", d_b)
+        return a if need_input else None
 
     def _blocked(self, t):
         """t, whose rows hold F values each, as (H', rows, F/H') blocks: a view of a
@@ -300,34 +313,41 @@ class Model:
 
     # -- backward -----------------------------------------------------------
 
-    def backward_batch(self, cache: dict, d_logits: np.ndarray, need_input_grad: bool = False):
+    def backward_batch(self, cache: dict, d_logits: np.ndarray, step=None,
+                       need_input_grad: bool = False):
         """Backprop d cost/d logits through the stack, in one of two passes.
 
-        A training pass returns (param_grads, quantizer_delta): param_grads
-        maps the same names as self.params, and quantizer_delta is d cost/d
-        quantizer-output for update_thresholds, None unless the model is TQ.
-        An input-gradient pass (need_input_grad=True) computes no parameter
-        gradient and returns (None, d_raw_input), chained through the quantizer.
+        A training pass takes a step(name, grad) callable and calls it with
+        each parameter gradient, under its name in self.params, as soon as
+        the gradient's layer has made it: after that layer's input gradient,
+        so the step may update the layer's weights in place, and before the
+        layer below runs. A layer's gradients are thus dead once its
+        backward returns, unless the step keeps them. It returns the
+        quantizer delta, d cost/d quantizer-output for update_thresholds,
+        None unless the model is TQ. An input-gradient pass
+        (need_input_grad=True) takes no step, computes no parameter gradient
+        and returns d_raw_input, chained through the quantizer.
         The bottom delta is written over the bottom layer's input, the
         quantizer's output or the model's copy of the images, so the caller
         owns it and no pool buffer holds it.
         Either raises ValueError unless the cache is from the last pass on this
         model: a cache serves the one backward that follows it (see forward_batch).
         """
+        if need_input_grad == (step is not None):
+            raise ValueError("a training pass takes a step and an input-gradient pass none")
         if cache["pass"] != self._passes:
             raise ValueError("backward pass on a stale cache: a forward or backward pass "
                              "ran since it was made")
         self._passes += 1
-        grads = None if need_input_grad else {}
         want_bottom_delta = need_input_grad or (
             self.quantizer is not None and self.quantizer.trainable)
         d = d_logits
         for i in range(len(self.layers) - 1, -1, -1):
-            d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, grads,
+            d = self.layers[i].backward(d, cache["layers"][i], self.params, self._pool, step,
                                         need_input=i > 0 or want_bottom_delta)
         if need_input_grad and self.quantizer is not None:
-            return None, d * quantize_grad_input(cache["raw_input"], self.quantizer)
-        return grads, d
+            return d * quantize_grad_input(cache["raw_input"], self.quantizer)
+        return d
 
     def loss_and_grad_batch(self, probs: np.ndarray, labels: np.ndarray):
         """Mean loss over the batch plus d loss/d logits (via the softmax Jacobian)."""
@@ -350,8 +370,7 @@ class Model:
         """
         probs, cache = self.forward_batch(x, keep_cache=True)
         _, d_logits = self.loss_and_grad_batch(probs, labels)
-        _, d_raw = self.backward_batch(cache, d_logits, need_input_grad=True)
-        return probs, d_raw
+        return probs, self.backward_batch(cache, d_logits, need_input_grad=True)
 
     def probability_jacobian(self, image: np.ndarray) -> np.ndarray:
         """d P_c/d x for every class c, shape (C,) + input_shape.
@@ -364,8 +383,7 @@ class Model:
         probs, cache = self.forward_batch(tiled, keep_cache=True)
         upstream_probs = np.eye(c)
         d_logits = nn.softmax_backward_batch(probs, upstream_probs)
-        _, d_raw = self.backward_batch(cache, d_logits, need_input_grad=True)
-        return d_raw
+        return self.backward_batch(cache, d_logits, need_input_grad=True)
 
 
 def build_model(config: ModelConfig, tensors: dict | None = None) -> Model:
@@ -433,20 +451,22 @@ class EpochStats:
 def _step(model: Model, xb: np.ndarray, yb: np.ndarray, lr: float):
     """One SGD step on a batch: (loss, correct predictions); no update if the loss is non-finite.
 
-    A frame of its own, so nothing of the step outlives it. It drops the
-    cache but for the raw input once the backward has run, and each
-    gradient once it is applied. The updates write into the model's own
-    parameter and threshold arrays, so a step allocates none.
+    A frame of its own, so nothing of the step outlives it. The backward
+    steps each layer's parameters as soon as their gradients exist, so
+    only one layer's gradients are alive at a time; a step that raises
+    mid-backward leaves the layers above that point updated. The cache,
+    but for the raw input, is dropped before the TQ thresholds update.
+    The updates write into the model's own parameter and threshold arrays,
+    so a step allocates none.
     """
     probs, cache = model.forward_batch(xb, keep_cache=True)
     loss, d_logits = model.loss_and_grad_batch(probs, yb)
     if not np.isfinite(loss):
         return loss, 0
     raw = cache["raw_input"]
-    grads, quantizer_delta = model.backward_batch(cache, d_logits)
+    quantizer_delta = model.backward_batch(
+        cache, d_logits, lambda name, grad: nn.sgd_update(model.params[name], grad, lr))
     del cache
-    for pname in list(grads):
-        nn.sgd_update(model.params[pname], grads.pop(pname), lr)
     if quantizer_delta is not None:
         update_thresholds(model.quantizer, quantizer_delta, raw, lr)
     return loss, int((probs.argmax(axis=1) == yb).sum())

@@ -20,7 +20,8 @@ d/dP).
 
 The batched conv's caller owns all its memory: row_patches and both
 passes take the caller's BufferPool, and the backward writes d_input into
-the caller's `into`. Each rule is stated where it is applied: the
+the caller's `into`. A pool frees a key's buffer before it grows it, so
+no scratch is held twice. Each rule is stated where it is applied: the
 row-patch layout in row_patches, tiling in _tiles, GEMM orientation, the
 wide forward and "<key>.out" in conv_forward_batch, and the
 input-gradient scratch and destination in conv_backward_batch, with the
@@ -61,11 +62,14 @@ class BufferPool:
     Each key owns one flat buffer, and get returns a view of its
     leading elements in the requested shape. The buffer grows when a
     request is larger and never shrinks, so a key serves all of its
-    shapes from the memory of the largest. Allocating conv workspaces
-    fresh every batch would cost page faults on every call. Views hold
-    garbage, so callers must fully overwrite (or fill) what they take,
-    and consume a view before the next call on this pool that takes the
-    same key, whatever the shape.
+    shapes from the memory of the largest. Growth drops the old buffer
+    before it allocates the new one, so the pool never holds a key twice;
+    a view of the old buffer that a caller still holds keeps that memory
+    alive until the caller drops it. Allocating conv workspaces fresh
+    every batch would cost page faults on every call. Views hold garbage,
+    so callers must fully overwrite (or fill) what they take, and consume
+    a view before the next call on this pool that takes the same key,
+    whatever the shape.
     """
 
     def __init__(self):
@@ -73,11 +77,10 @@ class BufferPool:
 
     def get(self, key: str, shape: tuple) -> Tensor:
         size = math.prod(shape)
-        buf = self._bufs.get(key)
-        if buf is None or buf.size < size:
-            buf = np.empty(size)
-            self._bufs[key] = buf
-        return buf[:size].reshape(shape)
+        if key not in self._bufs or self._bufs[key].size < size:
+            self._bufs.pop(key, None)
+            self._bufs[key] = np.empty(size)
+        return self._bufs[key][:size].reshape(shape)
 
     def clear(self):
         self._bufs.clear()

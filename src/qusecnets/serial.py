@@ -33,26 +33,28 @@ FORMAT_VERSION = 1
 
 
 def write_container(path, magic: bytes, config_text: str, tensors: dict) -> None:
-    parts = [magic, struct.pack("<I", FORMAT_VERSION)]
+    """Write a container, streaming each tensor's payload from its own memory.
+
+    The header fields and every tensor's little-endian float64 payload go
+    to a sibling temp file in order, with no copy of a payload unless a
+    tensor is not already C-ordered little-endian float64; the temp file is
+    then renamed over path, so a run killed mid-write never leaves a
+    truncated container there.
+    """
     text = config_text.encode("utf-8")
-    parts.append(struct.pack("<I", len(text)))
-    parts.append(text)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    # write a sibling temp file and rename it over path, so a run killed
-    # mid-write never leaves a truncated container there
     tmp = f"{path}.{os.getpid()}.tmp"
     f = open(tmp, "wb")
     try:
         with f:
-            f.write(b"".join(parts))
+            f.write(magic + struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<I", len(text)) + text)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)) + encoded)
+                f.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+                f.write(arr.reshape(-1))  # a view: the bytes of arr, uncopied
         os.replace(tmp, path)
     except BaseException:  # a failed write or rename leaves no temp file either
         os.remove(tmp)

@@ -68,6 +68,16 @@ def conv2d_naive(input, kernels, bias, upstream=None):
     return LayerGrad(d_input=d_in, d_params={"kernels": d_k, "bias": d_b})
 
 
+def training_pass(model, cache, d_logits):
+    """(gradients by parameter name, quantizer delta) of a training pass.
+
+    The gradients are collected through the pass's step hook, unapplied.
+    """
+    grads = {}
+    delta = model.backward_batch(cache, d_logits, grads.__setitem__)
+    return grads, delta
+
+
 def blob_dataset(n_per_class=20, classes=10, side=8, seed=0, name="synthetic"):
     """Linearly separable 10-class images: one bright patch per class."""
     rng = np.random.default_rng(seed)
@@ -177,7 +187,7 @@ def reference_fgsm_batch(model, images, labels, epsilon, chunk=64):
         yb = labels[start:start + chunk]
         probs, cache = model.forward_batch(xb, keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, yb)
-        _, grad = model.backward_batch(cache, d_logits, need_input_grad=True)
+        grad = model.backward_batch(cache, d_logits, need_input_grad=True)
         out[start:start + chunk] = np.clip(xb + epsilon * np.sign(grad), 0.0, 1.0)
     return out
 
@@ -199,10 +209,10 @@ class PassCounter:
             counter.forward_images += len(x)
             return forward(model, x, keep_cache)
 
-        def counted_backward(model, cache, d_logits, need_input_grad=False):
+        def counted_backward(model, cache, d_logits, step=None, need_input_grad=False):
             if need_input_grad:
                 counter.input_grad_rows += len(d_logits)
-            return backward(model, cache, d_logits, need_input_grad=need_input_grad)
+            return backward(model, cache, d_logits, step, need_input_grad=need_input_grad)
 
         def counted_predict(model, image):
             counter.predict_calls += 1

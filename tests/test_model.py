@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import TINY_CONFIG, blob_dataset, max_rel_err
+from helpers import TINY_CONFIG, blob_dataset, max_rel_err, training_pass
 from qusecnets import nn
 from qusecnets.errors import BadConfigError, BadTypeError, DataError, ShapeMismatchError
 from qusecnets.model import DEFAULT_ARCHITECTURE, Model, ModelConfig, _step, build_model, train
@@ -284,7 +285,7 @@ def test_param_gradients_match_finite_differences():
         model = build_model(replace(TINY_CONFIG, loss="cross_entropy", architecture=architecture))
         probs, cache = model.forward_batch(x, keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, labels)
-        grads, _ = model.backward_batch(cache, d_logits)
+        grads, _ = training_pass(model, cache, d_logits)
 
         def total_loss():
             p = model.forward_batch(x)
@@ -314,12 +315,16 @@ def test_backward_batch_runs_one_of_two_passes(defense):
     x = np.random.default_rng(4).random((3, 8, 8, 1))
     probs, cache = model.forward_batch(x, keep_cache=True)
     _, d_logits = model.loss_and_grad_batch(probs, np.array([0, 1, 2]))
-    grads, quantizer_delta = model.backward_batch(cache, d_logits)
+    grads, quantizer_delta = training_pass(model, cache, d_logits)
     assert grads.keys() == model.params.keys()
     assert (quantizer_delta is not None) == (defense == "tq")
     probs, cache = model.forward_batch(x, keep_cache=True)
-    grads, d_raw = model.backward_batch(cache, d_logits, need_input_grad=True)
-    assert grads is None and d_raw.shape == x.shape
+    with pytest.raises(ValueError, match="takes a step"):  # no parameter gradient is made
+        model.backward_batch(cache, d_logits, dict().__setitem__, need_input_grad=True)
+    with pytest.raises(ValueError, match="takes a step"):
+        model.backward_batch(cache, d_logits)
+    d_raw = model.backward_batch(cache, d_logits, need_input_grad=True)
+    assert d_raw.shape == x.shape
 
 
 def test_training_pass_on_a_stale_cache_raises():
@@ -333,13 +338,13 @@ def test_training_pass_on_a_stale_cache_raises():
     _, d_logits = model.loss_and_grad_batch(probs_a, labels)
     model.forward_batch(x_b, keep_cache=True)
     with pytest.raises(ValueError, match="stale cache"):
-        model.backward_batch(cache_a, d_logits)
+        training_pass(model, cache_a, d_logits)
     # an input-gradient pass would write its conv input gradients over the newer cache's inputs
     with pytest.raises(ValueError, match="stale cache"):
         model.backward_batch(cache_a, d_logits, need_input_grad=True)
     # a training pass right after its own forward is the one train runs
     probs_b, cache_b = model.forward_batch(x_b, keep_cache=True)
-    grads, _ = model.backward_batch(cache_b, model.loss_and_grad_batch(probs_b, labels)[1])
+    grads, _ = training_pass(model, cache_b, model.loss_and_grad_batch(probs_b, labels)[1])
     assert grads.keys() == model.params.keys()
 
 
@@ -364,7 +369,7 @@ def test_kernel_gradients_of_stacked_convs_match_finite_differences():
         ("conv", 3, 3), ("conv", 4, 2), ("conv", 3, 2), ("dense", 10))))
     probs, cache = model.forward_batch(x, keep_cache=True)
     _, d_logits = model.loss_and_grad_batch(probs, labels)
-    grads, _ = model.backward_batch(cache, d_logits)
+    grads, _ = training_pass(model, cache, d_logits)
     for name in ("conv0.kernels", "conv1.kernels", "conv2.kernels"):
         kernels = model.params[name]
 
@@ -448,30 +453,54 @@ def test_no_forward_cache_outlives_its_training_step(monkeypatch):
 
 
 def test_a_step_drops_its_cache_and_each_gradient_as_it_applies_them(monkeypatch):
-    """Past the backward a step keeps only the raw input of its cache, and each
-    gradient lives until its update, so the updates peak at the gradients left."""
+    """Each layer's gradients are applied as soon as its backward makes them,
+    before the layer below runs, so at each update only that layer's
+    gradients are alive; past the backward a step keeps only the raw input
+    of its cache, so the threshold update sees no mask and no gradient."""
     model = build_model(replace(TINY_CONFIG, defense="tq", levels=3, steepness=5.0,
                                 architecture=(("conv", 4, 3), ("conv", 3, 2), ("dense", 10))))
-    backward, update = Model.backward_batch, nn.sgd_update
-    step, alive = {}, []
+    backward, conv_backward, update = Model.backward_batch, nn.conv_backward_batch, nn.sgd_update
+    refs, events = {}, []
 
-    def tracked_backward(self, cache, d_logits, need_input_grad=False):
-        step["masks"] = [weakref.ref(c["mask"]) for c in cache["layers"] if "mask" in c]
-        grads, delta = backward(self, cache, d_logits, need_input_grad)
-        step["grads"] = [weakref.ref(g) for g in grads.values()]
-        return grads, delta
+    def alive():
+        return sorted(name for name, r in refs.items() if r() is not None)
+
+    def tracked_backward(self, cache, d_logits, step=None, need_input_grad=False):
+        refs.update((f"mask{i}", weakref.ref(c["mask"]))
+                    for i, c in enumerate(cache["layers"]) if "mask" in c)
+
+        def tracked_step(name, grad):
+            refs[name] = weakref.ref(grad)
+            events.append(("step", name, [n for n in alive() if not n.startswith("mask")]))
+            return step(name, grad)
+
+        return backward(self, cache, d_logits, tracked_step, need_input_grad)
+
+    def tracked_conv_backward(*args, **kwargs):
+        events.append(("backward", kwargs["key"]))
+        return conv_backward(*args, **kwargs)
 
     def tracked_update(param, grad, lr):
-        alive.append((sum(r() is not None for r in step["masks"]),
-                      sum(r() is not None for r in step["grads"])))
+        if not any(r() is grad for r in refs.values()):  # the thresholds' gradient
+            events.append(("thresholds", alive()))
         return update(param, grad, lr)
 
     monkeypatch.setattr(Model, "backward_batch", tracked_backward)
+    monkeypatch.setattr(nn, "conv_backward_batch", tracked_conv_backward)
     monkeypatch.setattr(nn, "sgd_update", tracked_update)
     ds = blob_dataset(n_per_class=1, seed=2)
     _step(model, ds.images, ds.labels, 0.1)
-    # 3 layers of a weight and a bias each, then the TQ thresholds
-    assert alive == [(0, 6 - i) for i in range(6)] + [(0, 0)]
+    assert events == [
+        ("step", "dense2.W", ["dense2.W"]),
+        ("step", "dense2.b", ["dense2.W", "dense2.b"]),
+        ("backward", "conv1"),
+        ("step", "conv1.kernels", ["conv1.kernels"]),
+        ("step", "conv1.bias", ["conv1.bias", "conv1.kernels"]),
+        ("backward", "conv0"),
+        ("step", "conv0.kernels", ["conv0.kernels"]),
+        ("step", "conv0.bias", ["conv0.bias", "conv0.kernels"]),
+        ("thresholds", []),
+    ]
 
 
 def test_a_step_writes_into_the_models_own_arrays():
@@ -536,7 +565,10 @@ def test_the_dense_layer_hands_the_top_conv_its_upstream_in_the_conv_output(monk
         assert all(v.shape != (n, flat) for c in cache["layers"] for v in c.values())
         assert np.shares_memory(cache["layers"][-1]["input"], top)
         _, d_logits = model.loss_and_grad_batch(probs, labels)
-        model.backward_batch(cache, d_logits, need_input_grad=need_input_grad)
+        if need_input_grad:
+            model.backward_batch(cache, d_logits, need_input_grad=True)
+        else:
+            training_pass(model, cache, d_logits)
         assert np.shares_memory(upstreams[-1], top)
     assert len(upstreams) == 2
 
@@ -553,8 +585,8 @@ def test_the_dense_backward_gives_the_bytes_of_nn_dense_on_a_flattened_copy(n):
         a = cache["layers"][-1]["input"]
         want = nn.dense(a.reshape(n, -1).copy(), model.params[name + ".W"],
                         model.params[name + ".b"], upstream=d)
-        d_input = dense.backward(d, cache["layers"][-1], model.params, model._pool, grads,
-                                 need_input=True)
+        d_input = dense.backward(d, cache["layers"][-1], model.params, model._pool,
+                                 None if grads is None else grads.__setitem__, need_input=True)
         assert d_input.shape == a.shape and np.shares_memory(d_input, a)
         assert d_input.reshape(n, -1).tobytes() == want.d_input.tobytes()
         if grads is not None:
@@ -574,7 +606,7 @@ def test_a_bottom_dense_layer_leaves_the_callers_images(architecture):
     before = x.copy()
     probs, cache = model.forward_batch(x, keep_cache=True)
     _, d_logits = model.loss_and_grad_batch(probs, labels)
-    model.backward_batch(cache, d_logits)
+    training_pass(model, cache, d_logits)
     assert x.tobytes() == before.tobytes()
     probs, d_x = model.input_gradient_batch(x, labels)
     assert x.tobytes() == before.tobytes()
@@ -588,9 +620,9 @@ def test_a_bottom_dense_layer_leaves_the_callers_images(architecture):
 def test_a_training_step_holds_no_flattened_dense_input_past_its_forward(monkeypatch):
     """Above the pool, a step's backward and updates peak below one (N, F) array.
 
-    The forward still flattens the top conv's H'-major output for its GEMM,
-    but that copy dies with the forward: the dense backward works in the
-    conv's spent output, and no cache keeps a flattened copy.
+    The forward flattens the top conv's H'-major output for its GEMM into
+    the pool's spent row patches: the dense backward works in the conv's
+    spent output, and no cache keeps a flattened copy.
     """
     model = build_model(ModelConfig(defense="tq", levels=4, steepness=5.0, loss="cross_entropy",
                                     architecture=(("conv", 32, 3), ("dense", 10))))
@@ -612,6 +644,55 @@ def test_a_training_step_holds_no_flattened_dense_input_past_its_forward(monkeyp
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * flat
+
+
+def test_a_32x32x3_step_at_batch_8_holds_its_memory_once():
+    """A CQ step on a cold pool peaks under the pool's bytes, the parameters,
+    the ReLU masks, the batch and the largest layer's gradients, plus 1 MiB
+    for numpy's iterator buffers and small arrays. A grown pool key held
+    twice (conv2's row patches over conv1's), every layer's gradients alive
+    at once, or a flattened (N, F) dense input would each break the bound."""
+    rng = np.random.default_rng(20)
+    n = 8
+    x, labels = rng.random((n, 32, 32, 3)), rng.integers(0, 10, n)
+    tracemalloc.start()
+    try:
+        model = build_model(ModelConfig(input_shape=(32, 32, 3), defense="cq",
+                                        loss="cross_entropy"))
+        _step(model, x, labels, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pool = sum(b.nbytes for b in model._pool._bufs.values())
+    params = sum(p.nbytes for p in model.params.values())
+    masks = n * sum(math.prod(conv.out_shape) for conv in model.layers[:-1])
+    grads = max(8 * sum(math.prod(s) for s in layer.shapes.values()) for layer in model.layers)
+    assert pool == 24_317_952  # as test_default_stack_pool_bytes_after_one_pass pins it
+    assert peak < pool + params + masks + x.nbytes + grads + 2**20
+
+
+def test_a_default_stack_forward_flattens_the_dense_input_into_spent_row_patches(monkeypatch):
+    """A batch-64 forward on a sized pool allocates no (N, F) dense input."""
+    model = build_model(ModelConfig(defense="cq"))
+    n, flat = 64, 12 * 12 * 128
+    x = np.random.default_rng(21).random((n, 28, 28, 1))
+    model.forward_batch(x)  # sizes the pool
+    dense, inputs = nn.dense, []
+
+    def tracked(input, *args, **kwargs):
+        inputs.append(input)
+        return dense(input, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "dense", tracked)
+    tracemalloc.start()
+    try:
+        probs = model.forward_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * flat
+    assert inputs[0].shape == (n, flat) and np.shares_memory(inputs[0], model._pool._bufs["rows"])
+    assert probs.tobytes() == model.forward_batch(x).tobytes()
 
 
 def test_constant_quantizer_frozen_and_tq_thresholds_move_in_bounds():
@@ -714,19 +795,21 @@ def test_a_cache_serves_one_backward(first):
     labels = np.array([0, 1, 2])
     probs, cache = model.forward_batch(x, keep_cache=True)
     _, d_logits = model.loss_and_grad_batch(probs, labels)
-    fresh_grads, _ = model.backward_batch(model.forward_batch(x, keep_cache=True)[1], d_logits)
-    _, fresh_d_raw = model.backward_batch(
+    fresh_grads, _ = training_pass(model, model.forward_batch(x, keep_cache=True)[1], d_logits)
+    fresh_d_raw = model.backward_batch(
         model.forward_batch(x, keep_cache=True)[1], d_logits, need_input_grad=True)
     probs, cache = model.forward_batch(x, keep_cache=True)
-    grads, d = model.backward_batch(cache, d_logits, need_input_grad=first == "input-gradient")
     if first == "training":
+        grads, _ = training_pass(model, cache, d_logits)
         for name, g in grads.items():
             assert g.tobytes() == fresh_grads[name].tobytes()
     else:
+        d = model.backward_batch(cache, d_logits, need_input_grad=True)
         assert d.tobytes() == fresh_d_raw.tobytes()
-    for need_input_grad in (False, True):
-        with pytest.raises(ValueError, match="stale cache"):
-            model.backward_batch(cache, d_logits, need_input_grad=need_input_grad)
+    with pytest.raises(ValueError, match="stale cache"):
+        training_pass(model, cache, d_logits)
+    with pytest.raises(ValueError, match="stale cache"):
+        model.backward_batch(cache, d_logits, need_input_grad=True)
 
 
 def test_train_aborts_on_nan_loss_naming_batch():
@@ -770,7 +853,7 @@ def test_scratch_pool_holds_layer_buffers_plus_one_per_shared_role(monkeypatch):
         model = build_model(config)
         probs, cache = model.forward_batch(rng.random((n, 12, 12, 1)), keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, rng.integers(0, 10, n))
-        model.backward_batch(cache, d_logits)
+        training_pass(model, cache, d_logits)
 
         def tile(rows, stride):  # scratch rows of the largest tile
             count = min(rows, rows * stride // tile_rows)
@@ -815,7 +898,7 @@ def test_default_stack_pool_bytes_after_one_pass(shape, defense, n, pass_, total
     x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
     if pass_ == "train":
         probs, cache = model.forward_batch(x, keep_cache=True)
-        model.backward_batch(cache, model.loss_and_grad_batch(probs, labels)[1])
+        training_pass(model, cache, model.loss_and_grad_batch(probs, labels)[1])
     else:
         model.input_gradient_batch(x, labels)
     bufs = model._pool._bufs
@@ -844,7 +927,7 @@ def test_a_tq_training_pass_returns_a_delta_the_caller_owns():
     for batch in (slice(0, 8), slice(8, 16)):
         probs, cache = model.forward_batch(ds.images[batch], keep_cache=True)
         _, d_logits = model.loss_and_grad_batch(probs, ds.labels[batch])
-        _, delta = model.backward_batch(cache, d_logits)
+        _, delta = training_pass(model, cache, d_logits)
         deltas.append((delta, delta.copy()))
     (first, first_values), (second, second_values) = deltas
     assert not np.shares_memory(first, second)
@@ -862,7 +945,7 @@ def test_the_bottom_delta_goes_over_the_quantizer_output_not_a_pool_buffer():
     probs, cache = model.forward_batch(ds.images, keep_cache=True)
     quantized = cache["layers"][0]["input"]
     _, d_logits = model.loss_and_grad_batch(probs, ds.labels)
-    _, delta = model.backward_batch(cache, d_logits)
+    _, delta = training_pass(model, cache, d_logits)
     assert np.shares_memory(delta, quantized)
     assert not any(np.shares_memory(delta, b) for b in model._pool._bufs.values())
     model = build_model(replace(config, defense="cq"))

@@ -503,6 +503,28 @@ def test_pool_views_share_the_buffer_until_a_larger_request():
     assert not np.shares_memory(larger, pool.get("other", (2,)))
 
 
+def test_growing_a_pool_key_holds_one_buffer():
+    """Growth frees the key's old buffer before it allocates the new one, so
+    the growing get peaks at about the new size, not old plus new; a view a
+    caller still holds keeps its old memory alive."""
+    old, new = 2**20, 3 * 2**19  # float64s
+    pool = nn.BufferPool()
+    tracemalloc.start()
+    try:
+        pool.get("k", (old,))
+        tracemalloc.reset_peak()
+        pool.get("k", (new,))
+        grown, peak = tracemalloc.get_traced_memory()
+        held = pool.get("k", (4,))
+        tracemalloc.reset_peak()
+        pool.get("k", (2 * new,))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 8 * new <= grown <= peak < 8 * new + 2**16
+    assert kept >= 8 * (new + 2 * new) and held.size == 4
+
+
 def test_pooled_conv_matches_unpooled_across_shape_changes(monkeypatch):
     """Two stacked layers on one pool, called in model order, as batch and size change.
 

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -370,6 +371,44 @@ def test_writes_leave_no_temporary_files(tmp_path, tq_model):
     save_weights(tq_model, tmp_path / "m.qsn")
     save_weights(tq_model, tmp_path / "m.qsn")  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["m.qsn"]
+
+
+def test_each_tensor_is_written_as_contiguous_little_endian_float64(tmp_path):
+    """Whatever a tensor's layout, byte order or dtype, its payload is the
+    row-major little-endian float64 bytes of its values."""
+    rng = np.random.default_rng(0)
+    tensors = {"c": rng.random((3, 4, 5)), "empty": np.zeros((0, 3)),
+               "strided": rng.random((6, 7))[:, ::2], "big-endian": rng.random(5).astype(">f8"),
+               "f32": rng.random((2, 2)).astype(np.float32), "ints": np.arange(4)}
+    write_container(tmp_path / "m.qsn", b"QSN1", "cfg \u00e9", tensors)
+    want = [b"QSN1", struct.pack("<II", 1, 6), "cfg \u00e9".encode(),
+            struct.pack("<I", len(tensors))]
+    for name, t in tensors.items():
+        want += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", t.ndim),
+                 struct.pack(f"<{t.ndim}I", *t.shape), t.astype("<f8").tobytes()]
+    assert (tmp_path / "m.qsn").read_bytes() == b"".join(want)
+
+
+@pytest.mark.parametrize("kind", ["weights", "adversarial"])
+def test_a_save_streams_its_payload_without_copying_it(tmp_path, kind):
+    """A save's traced peak stays far under one payload: each tensor is
+    written from its own memory, with no bytes copy and no joined file image."""
+    if kind == "weights":
+        obj = build_model(replace(TINY_CONFIG, input_shape=(32, 32, 3), defense="tq",
+                                  architecture=(("conv", 32, 5), ("dense", 10))))
+        payload, save = sum(t.nbytes for t in obj.tensors().values()), save_weights
+    else:
+        x = np.random.default_rng(0).random((200, 32, 32, 3))
+        obj = AdversarialBatch(originals=x, perturbed=x[::-1].copy(), labels=np.arange(200) % 10,
+                               spec=AttackSpec("fgsm", epsilon=0.1))
+        payload, save = 2 * x.nbytes, save_adversarial_batch
+    tracemalloc.start()
+    try:
+        save(obj, tmp_path / "file")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload > 2**20 and peak < payload / 16
 
 
 def _raw_container(config_bytes: bytes, names: list, extents=(1,),

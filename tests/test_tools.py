@@ -23,3 +23,19 @@ def test_byte_report_finds_the_checkout_equal_to_itself():
     assert done.stdout.splitlines() == ["conv arrays: 120 equal, 0 differ",
                                         "model passes: 24 equal, 0 differ",
                                         "trained files: 0 equal, 0 differ"]
+
+
+def test_peak_report_finds_the_checkout_equal_to_itself():
+    """peak_report runs each pass in a child per tree; on the tiny stack the
+    two children of one checkout trace the same peaks."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "peak_report.py"), str(ROOT), str(ROOT), "--tiny"],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["pass", "old", "MiB", "new", "MiB", "change"]
+    assert [row.split()[0] for row in rows] == [
+        "tq-28x28x1-b64-step", "cq-32x32x3-b8-step", "quarter-cq-28x28x1-b64-input"]
+    for row in rows:
+        _, old, new, change = row.split()
+        assert float(old) == float(new) > 0 and float(change) == 0

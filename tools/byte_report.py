@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -92,6 +93,18 @@ def _conv_cases(np, nn, batches) -> dict:
     return out
 
 
+def _training_pass(model, cache, d_logits):
+    """(gradients by name, quantizer delta) of a training pass, unapplied.
+
+    A tree whose backward_batch takes a step hook hands the gradients to
+    it; an older one returns them in a dict.
+    """
+    if "step" not in inspect.signature(model.backward_batch).parameters:
+        return model.backward_batch(cache, d_logits)
+    grads = {}
+    return grads, model.backward_batch(cache, d_logits, grads.__setitem__)
+
+
 def _model_passes(np, qmodel, batches) -> dict:
     out = {}
     for si, (name, (shape, stack)) in enumerate(STACKS.items()):
@@ -105,7 +118,7 @@ def _model_passes(np, qmodel, batches) -> dict:
                 x, labels = rng.random((n,) + shape), rng.integers(0, 10, n)
                 probs, cache = model.forward_batch(x, keep_cache=True)
                 _, d_logits = model.loss_and_grad_batch(probs, labels)
-                grads, delta = model.backward_batch(cache, d_logits)
+                grads, delta = _training_pass(model, cache, d_logits)
                 deltas = () if delta is None else (delta,)
                 out[f"{name}/{defense}/n{n}/training"] = _digest(
                     probs, *(grads[k] for k in sorted(grads)), *deltas)
